@@ -10,9 +10,14 @@ import time
 
 import numpy as np
 
+import workloads
+
 REPEATS = 5
 STEPS = 4000            # RK4 steps per dynamics timing
 CALLS = 2000            # calls per per-call timing
+# The field_recon shape: grid points, POD modes, sensors.
+GRID = workloads.FieldSpec.n_grid
+MODES, SENSORS = workloads.FIELD_MODES, workloads.FIELD_ERR_SENSORS
 
 
 def _median_time(fn, repeats=REPEATS):
@@ -90,20 +95,20 @@ def assimilate(sdeim):
 def pod(sdeim):
     rng = np.random.default_rng(0)
     out = {}
-    for tag, shape, m in (("wide", (40, 20001), 5), ("tall", (10_000, 400), 20)):
+    for tag, shape, m in (("wide", (40, 20001), 5), ("tall", (GRID, 400), MODES)):
         x = rng.standard_normal(shape)
         out[f"pod.{tag}_s"] = _median_time(lambda: sdeim.compute_pod(x, m), 3)
         out[f"pod.{tag}_gflop"] = svd_gflop(*shape)
     return out
 
 
-def sensing(sdeim, m=20, n=8):
+def sensing(sdeim):
     rng = np.random.default_rng(1)
     out = {}
-    for size in (1_000, 10_000):
-        basis = sdeim.BasisMatrix(_orthonormal(rng, size, m))
-        sel = sdeim.qdeim_place(basis, n)
-        out[f"sensing.place_n{size}_s"] = _median_time(lambda: sdeim.qdeim_place(basis, n))
+    for size in (1_000, GRID):
+        basis = sdeim.BasisMatrix(_orthonormal(rng, size, MODES))
+        sel = sdeim.qdeim_place(basis, SENSORS)
+        out[f"sensing.place_n{size}_s"] = _median_time(lambda: sdeim.qdeim_place(basis, SENSORS))
         reps = 200
 
         def cores():
@@ -114,9 +119,10 @@ def sensing(sdeim, m=20, n=8):
     return out
 
 
-def reconstruct(sdeim, size=10_000, m=20, n=8):
+def reconstruct(sdeim):
     """Per-call cost at the field_recon shape, with computed flops and
     bytes of float64 operands read and written."""
+    size, m, n = GRID, MODES, SENSORS
     rng = np.random.default_rng(2)
     basis = sdeim.BasisMatrix(_orthonormal(rng, size, m))
     core = sdeim.build_deim_core(basis, sdeim.qdeim_place(basis, n))

@@ -1,6 +1,6 @@
 """sdeim benchmark: one workload, one seed, one time window.
 
-    python3 perfbench/run.py --workload l63 --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload l63 --seed 1 --seconds 50 --trace 0
 
 Run from the root of a checkout. Prints a table of every metric with its
 unit and sample count, the environment manifest, and as the last line
@@ -10,13 +10,21 @@ one JSON object: {"correct", "attempted", "failed", "metrics"}. With
 to perfbench/out/<workload>-seed<seed>-trace<k>.json; a traced run
 writes its spans beside it in .spans.json.
 
---trace 0 starts SETUP_PROBES processes that only set up, then
-PROCESSES measuring processes one after another, each with a
-1/PROCESSES share of the window: each runs a cold pass and then warm
-passes until its share has passed. Spreading the passes over the whole
-run this way averages out the slow drift of a shared VM's speed.
---trace 1 starts one process that alternates untraced and traced passes
-for the whole window.
+--trace 0 starts PROCESSES measuring processes one after another, each
+with a 1/PROCESSES share of the window and each after SETUP_PROBES
+processes that only set up. A measuring process runs a cold pass and
+then warm passes until the pass boundary nearest the end of its share.
+Spreading the passes and the set-up samples over the whole run this way
+averages out the slow drift of a shared VM's speed.
+--trace 1 starts one process that runs the layer microbenchmarks, then
+alternates untraced and traced passes for the whole window.
+
+A run ends within max(TIME_LIMIT_S, 2 x --seconds). No process starts a
+pass that its last pass says would end after that, and no measuring
+process is started that the longest one so far says would (after the
+first MIN_PROCESSES), so a slow program gives fewer samples, not a
+timeout. A process still running at the limit is killed and counted
+as a failed pass.
 """
 
 import argparse
@@ -30,9 +38,11 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = HERE / "out"
-SETUP_PROBES = 6
-PROCESSES = 8
-DEADLINE_S = 170.0
+SETUP_PROBES = 3        # before each measuring process
+PROCESSES = 4
+MIN_PROCESSES = 2
+TIME_LIMIT_S = 160.0
+EXIT_MARGIN_S = 3.0     # for a process to write its result and exit
 
 
 def timed_worker(argv):
@@ -49,22 +59,19 @@ def timed_worker(argv):
     return proc, ready
 
 
-def finish(proc, deadline):
-    """Wait for the worker until the deadline; kill it if it overruns."""
+def run_worker(argv, result_path, deadline):
+    """Run worker.py to the end; returns its result (None with
+    --setup-only, or if it was killed at the deadline) and its set-up
+    time."""
+    proc, ready = timed_worker([*argv, "--result", str(result_path)])
     try:
-        proc.communicate(timeout=max(1.0, deadline - time.monotonic()))
+        proc.communicate(timeout=max(0.0, deadline - time.monotonic()))
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.communicate()
-        raise
-    return proc.returncode
-
-
-def run_worker(argv, result_path, deadline):
-    """Run worker.py to the end; returns its result (None with
-    --setup-only) and its set-up time."""
-    proc, ready = timed_worker([*argv, "--result", str(result_path)])
-    if finish(proc, deadline) != 0:
+        result_path.unlink(missing_ok=True)
+        return None, ready
+    if proc.returncode != 0:
         raise RuntimeError(f"worker failed: {argv}")
     if "--setup-only" in argv:
         return None, ready
@@ -78,13 +85,18 @@ def end_to_end(workers, setup):
     """End-to-end metrics from the measuring processes' pass records.
 
     Times are means: the VM's speed flips between two modes, and a median
-    jumps between them where a mean moves smoothly. Latency is sampled
-    after (l63) or during (field_recon) every pass, cold ones too;
-    recon_p99_us is the median over passes of each pass's 99th
-    percentile, so a burst of interference in one pass moves one sample.
+    jumps between them where a mean moves smoothly. Throughput and latency
+    are taken from every pass, cold ones too (latency is sampled after
+    each l63 pass and during each field_recon pass): assim_obs_per_s is
+    all samples over all estimation time, and recon_p99_us is the median
+    over passes of each pass's 99th percentile, so a burst of
+    interference in one pass moves one sample.
     """
+    workers = [w for w in workers if "cold" in w]
     cold = [w["cold"] for w in workers]
     warm = [p for w in workers for p in w["warm"]]
+    if not warm:
+        raise RuntimeError("no process ran both a cold and a warm pass")
     sampled = cold + warm
     n_lat = sum(p["latency_n"] for p in sampled)
     return {
@@ -92,15 +104,16 @@ def end_to_end(workers, setup):
         "cold_wall_s": {"value": statistics.fmean(p["wall_s"] for p in cold),
                         "samples": len(cold)},
         "wall_s": {"value": statistics.fmean(p["wall_s"] for p in warm), "samples": len(warm)},
-        "assim_obs_per_s": {"value": statistics.fmean(p["assim_obs_per_s"] for p in warm),
-                            "samples": len(warm)},
+        "assim_obs_per_s": {"value": (sum(p["estimator_samples"] for p in sampled)
+                                      / sum(p["estimator_s"] for p in sampled)),
+                            "samples": len(sampled)},
         "recon_mean_us": {"value": sum(p["latency_sum_us"] for p in sampled) / n_lat,
                           "samples": n_lat},
         "recon_p99_us": {"value": statistics.median(p["latency_p99_us"] for p in sampled),
-                         "samples": n_lat},
+                         "samples": len(sampled)},
         "peak_rss_mb": {"value": max(w["peak_rss_mb"] for w in workers), "samples": len(workers)},
-        "dasdeim_err": {"value": workers[0]["dasdeim_err"], "samples": len(workers)},
-        "vanilla_err": {"value": workers[0]["vanilla_err"], "samples": len(workers)},
+        "dasdeim_err": {"value": workers[0]["dasdeim_err"], "samples": len(cold)},
+        "vanilla_err": {"value": workers[0]["vanilla_err"], "samples": len(cold)},
     }
 
 
@@ -111,7 +124,7 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), required=True)
     args = ap.parse_args(argv)
-    deadline = time.monotonic() + DEADLINE_S
+    deadline = time.monotonic() + max(TIME_LIMIT_S, 2 * args.seconds)
 
     if not (ROOT / "src" / "sdeim" / "__init__.py").is_file():
         print(f"error: no sdeim sources under {ROOT / 'src'}", file=sys.stderr)
@@ -127,38 +140,50 @@ def main(argv=None):
     OUT.mkdir(parents=True, exist_ok=True)
     tag = f"{args.workload}-seed{args.seed}-trace{args.trace}"
     common = ["--workload", args.workload, "--seed", str(args.seed), "--trace", str(args.trace)]
-    setup, runs = [], []
+
+    def measuring(k, share):
+        left = deadline - time.monotonic() - EXIT_MARGIN_S
+        return run_worker([*common, "--seconds", str(share), "--time-limit", str(left)],
+                          OUT / f"{tag}.worker{k}.json", deadline)
+
+    setup, runs, lengths = [], [], []
     if args.trace:
-        runs.append(run_worker([*common, "--seconds", str(args.seconds)],
-                               OUT / f"{tag}.worker.json", deadline))
+        runs.append(measuring(0, args.seconds))
     else:
-        for k in range(SETUP_PROBES):
-            setup.append(run_worker([*common, "--setup-only"], OUT / f"{tag}.setup{k}.json",
-                                    deadline)[1])
         for k in range(PROCESSES):
-            runs.append(run_worker([*common, "--seconds", str(args.seconds / PROCESSES)],
-                                   OUT / f"{tag}.worker{k}.json", deadline))
+            if k >= MIN_PROCESSES and time.monotonic() + max(lengths) > deadline - EXIT_MARGIN_S:
+                break
+            t0 = time.monotonic()
+            for j in range(SETUP_PROBES):
+                setup.append(run_worker([*common, "--setup-only"],
+                                        OUT / f"{tag}.setup{k}-{j}.json", deadline)[1])
+            runs.append(measuring(k, args.seconds / PROCESSES))
+            lengths.append(time.monotonic() - t0)
     setup += [ready for _, ready in runs]
-    workers = [r for r, _ in runs]
+    killed = [k for k, (w, _) in enumerate(runs) if w is None]
+    workers = [w for w, _ in runs if w is not None]
 
     result = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-        "attempted": sum(w["attempted"] for w in workers),
-        "failed": sum(w["failed"] for w in workers),
-        "failures": [dict(f, process=i) for i, w in enumerate(workers) for f in w["failures"]],
+        "processes": len(runs),
+        "attempted": sum(w["attempted"] for w in workers) + len(killed),
+        "failed": sum(w["failed"] for w in workers) + len(killed),
+        "failures": ([dict(f, process=k) for k, (w, _) in enumerate(runs) if w is not None
+                      for f in w["failures"]]
+                     + [{"process": k, "check": "killed at the time limit"} for k in killed]),
         "setup_samples_s": setup,
         "pass_walls_s": [w["pass_walls_s"] for w in workers],
     }
-    if not all(w["metrics"] if args.trace else "warm" in w for w in workers):
-        raise RuntimeError(f"a process ran no complete set of passes: {result['failures']}")
     if args.trace:
+        if not (workers and workers[0]["metrics"]):
+            raise RuntimeError(f"the traced process measured nothing: {result['failures']}")
         measured = workers[0]["metrics"]
         result["span_totals"] = workers[0]["span_totals"]
         with open(OUT / f"{tag}.spans.json", "w") as fh:
             json.dump(workers[0]["spans"], fh)
     else:
         measured = end_to_end(workers, setup)
-        if len({w["digest"] for w in workers}) > 1:
+        if len({w["digest"] for w in workers if "digest" in w}) > 1:
             result["failed"] += 1
             result["failures"].append({"check": "summary digest differs between processes"})
     if set(measured) != set(units):
@@ -173,7 +198,8 @@ def main(argv=None):
         json.dump(result, fh, indent=1, sort_keys=True)
 
     print(f"workload {args.workload}, seed {args.seed}, trace {args.trace}: "
-          f"{result['attempted']} passes, {result['failed']} failed")
+          f"{result['processes']} processes, {result['attempted']} passes, "
+          f"{result['failed']} failed")
     for f in result["failures"]:
         print(f"  FAILED: {f}")
     for k, m in result["metrics"].items():

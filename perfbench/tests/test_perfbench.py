@@ -6,6 +6,7 @@ Reduced-size runs of each workload must pass the same correctness
 checks as the full benchmark, and tracing must not change results.
 """
 
+import argparse
 import json
 import re
 import sys
@@ -83,14 +84,27 @@ def test_small_pipeline_passes_its_checks(small_pipeline):
     assert len(small_pipeline.recon_latencies(result)) >= workloads.MIN_LATENCY_SAMPLES
 
 
+def test_no_pass_starts_past_the_time_limit(tmp_path):
+    runner = worker.Runner(sdeim, "field_recon", 3, tmp_path)
+    args = argparse.Namespace(trace=0, seconds=60.0, time_limit=0.0)
+    payload = worker.measure(sdeim, runner, args)
+    assert payload["attempted"] == 1 and payload["failed"] == 0
+    assert payload["warm"] == []
+    with pytest.raises(RuntimeError, match="no process ran both"):
+        run.end_to_end([payload], [0.1])
+
+
 def test_tracing_leaves_summary_bytes_unchanged(small_pipeline):
     plain, _ = small_pipeline.run_pass()
     tracer = Tracer()
     traced, _ = tracer.run_pass(sdeim, 0, small_pipeline.run_pass)
     assert traced.digest == plain.digest
-    counts = tracer.pass_counts[0]
-    assert counts["dynamics.rhs_calls"] > 0
-    assert counts["assimilate.interpolate_obs_calls"] == 4 * counts["assimilate.substeps"]
+    m = worker.traced_pass_metrics(tracer, 0, traced)
+    assert m["dynamics.rhs_calls"] > 0
+    cfg = sdeim.experiments.load_preset(workloads.PRESET)
+    intervals = round(SMALL_HORIZONS["test_horizon"] / cfg.obs_dt)
+    assert m["assimilate.substeps"] == intervals * cfg.kernel_substeps
+    assert m["assimilate.interpolate_obs_calls"] == 4 * m["assimilate.substeps"]
     names = {s["name"] for s in tracer.records()}
     assert {"pass", "dynamics.integrate", "assimilate.das_deim", "numpy.linalg.svd"} <= names
     # every wrapper is gone again

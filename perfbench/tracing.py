@@ -54,6 +54,7 @@ class Tracer:
         self.pass_id = -1
         self._stack = []
         self._patches = []
+        self._assimilating_depth = 0          # > 0 while das_deim runs
 
     # -- recording
 
@@ -96,7 +97,7 @@ class Tracer:
             fn = getattr(mods[mod], fn_name)
             wrapper = self.spanned(f"{mod}.{fn_name}", fn)
             if (mod, fn_name) == ("assimilate", "das_deim"):
-                wrapper = self._count_substeps(wrapper)
+                wrapper = self._assimilating(wrapper)
             self._replace(holders, fn, wrapper)
         for mod, fn_name, key in COUNTED:
             fn = getattr(mods[mod], fn_name)
@@ -121,25 +122,31 @@ class Tracer:
                     self._patch(mod, attr, new)
 
     def _count_rhs(self, sdeim, build_field):
-        """Wrap the field that build_field returns with an rhs counter."""
-        counted = self.counted
+        """Wrap the field that build_field returns with an rhs counter,
+        which also counts the calls made inside das_deim."""
+        counts = self.counts
 
         def wrapper(config):
             f = build_field(config)
-            return sdeim.dynamics.VectorField(
-                dim=f.dim, rhs=counted("dynamics.rhs_calls", f.rhs), params=f.params)
+            rhs = f.rhs
+
+            def counted(u):
+                counts["dynamics.rhs_calls"] += 1
+                if self._assimilating_depth:
+                    counts["assimilate.rhs_calls"] += 1
+                return rhs(u)
+
+            return sdeim.dynamics.VectorField(dim=f.dim, rhs=counted, params=f.params)
 
         return wrapper
 
-    def _count_substeps(self, fn):
-        counts = self.counts
-
-        def wrapper(core, f, series, xi0=None, dt=None):
-            spacing = series.dt
-            n_sub = int(round(spacing / (spacing / 20.0 if dt is None else dt)))
-            if core.kernel_dim > 0:
-                counts["assimilate.substeps"] += (series.times.size - 1) * n_sub
-            return fn(core, f, series, xi0=xi0, dt=dt)
+    def _assimilating(self, fn):
+        def wrapper(*args, **kwargs):
+            self._assimilating_depth += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._assimilating_depth -= 1
 
         return wrapper
 

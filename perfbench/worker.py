@@ -1,6 +1,7 @@
 """One workload process: set up, run passes for a time window, report.
 
-    python3 perfbench/worker.py --workload l63 --seed 1 --seconds 20 --trace 0 --result OUT.json
+    python3 perfbench/worker.py --workload l63 --seed 1 --trace 0 \
+        --seconds 12.5 --time-limit 150 --result OUT.json
 
 Prints "ready" once sdeim is imported and the inputs are loaded (the
 parent times set-up up to that line), then runs closed-loop passes, one
@@ -103,7 +104,8 @@ def pass_record(res):
     lat = sorted(res.latencies_us)
     return {
         "wall_s": res.wall_s,
-        "assim_obs_per_s": res.estimator_samples / res.estimator_s,
+        "estimator_s": res.estimator_s,
+        "estimator_samples": res.estimator_samples,
         "latency_sum_us": sum(lat),
         "latency_n": len(lat),
         "latency_p99_us": lat[min(len(lat) - 1, int(0.99 * len(lat)))] if lat else None,
@@ -138,8 +140,10 @@ def traced_pass_metrics(tracer, pid, res):
     core = spans.get("sensing.build_deim_core", none)
     m["sensing.build_deim_core_us"] = core["total_s"] / core["calls"] * 1e6 if core["calls"] else 0.0
     counts = tracer.pass_counts[pid]
-    for key in EXACT[:3]:
-        m[key] = counts.get(key, 0)
+    m["dynamics.rhs_calls"] = counts.get("dynamics.rhs_calls", 0)
+    m["assimilate.interpolate_obs_calls"] = counts.get("assimilate.interpolate_obs_calls", 0)
+    # das_deim's RK4 evaluates the field once per stage, four stages a substep
+    m["assimilate.substeps"] = counts.get("assimilate.rhs_calls", 0) / 4
     m["linalg.svd_calls"] = spans.get("numpy.linalg.svd", none)["calls"]
     m["trace.spans"] = sum(s["calls"] for s in spans.values())
     found = tracer.pass_warnings[pid]
@@ -164,15 +168,27 @@ def per_layer(runner, tracer, traced, untraced, micro_metrics):
 
 
 def measure(sdeim, runner, args):
-    """Cold pass, then warm passes (alternately traced with --trace 1)
-    until the window has passed; returns the result payload."""
-    t_start = time.perf_counter()
+    """With --trace 1 the microbenchmarks first; then a cold pass, and
+    warm passes (alternately traced with --trace 1) while the last pass
+    says the next would end less than half a pass after the window. No
+    pass starts that the last one says would end after --time-limit.
+    Returns the result payload."""
+    clock = time.perf_counter
+    t_start = clock()
+    micro_metrics = micro.run_all(sdeim) if args.trace else None
+    t0 = clock()
     cold = runner.one_pass(latencies=True)
+    last = clock() - t0
     warm, traced = [], []
     tracer = Tracer() if args.trace else None
     while runner.failed_passes <= MAX_FAILED_PASSES:
-        if warm and (traced or not args.trace) and time.perf_counter() - t_start >= args.seconds:
+        elapsed = clock() - t_start
+        # stop at the pass boundary nearest the end of the window
+        if warm and (traced or not args.trace) and elapsed + last / 2 >= args.seconds:
             break
+        if elapsed + last > args.time_limit:
+            break
+        t0 = clock()
         if tracer is not None and len(traced) < len(warm):
             pid = runner.attempted
             res = runner.one_pass(tracer)
@@ -182,23 +198,24 @@ def measure(sdeim, runner, args):
             res = runner.one_pass(latencies=True)
             if res is not None:
                 warm.append(res)
+        last = clock() - t0
 
     payload = {"pass_walls_s": {"cold": cold and cold.wall_s,
                                 "warm": [r.wall_s for r in warm],
                                 "traced": [r.wall_s for _, r in traced]},
                "metrics": {}}
-    if cold is not None and warm and (traced or not args.trace):
-        if args.trace:
-            payload["metrics"] = per_layer(runner, tracer, traced, warm, micro.run_all(sdeim))
+    if args.trace:
+        if warm and traced:
+            payload["metrics"] = per_layer(runner, tracer, traced, warm, micro_metrics)
             payload["span_totals"] = tracer.by_name([pid for pid, _ in traced])
             payload["spans"] = tracer.records()
-        else:
-            payload["cold"] = pass_record(cold)
-            payload["warm"] = [pass_record(r) for r in warm]
-            payload["digest"] = cold.digest
-            payload["dasdeim_err"] = cold.dasdeim_err
-            payload["vanilla_err"] = cold.vanilla_err
-            payload["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    elif cold is not None:
+        payload["cold"] = pass_record(cold)
+        payload["warm"] = [pass_record(r) for r in warm]
+        payload["digest"] = cold.digest
+        payload["dasdeim_err"] = cold.dasdeim_err
+        payload["vanilla_err"] = cold.vanilla_err
+        payload["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     payload["attempted"] = runner.attempted
     payload["failed"] = runner.failed_passes
     payload["failures"] = [{"pass": p, "check": msg} for p, msg in runner.failures]
@@ -209,11 +226,16 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--result", help="where to write the result JSON")
-    ap.add_argument("--setup-only", action="store_true", help="stop after set-up")
+    ap.add_argument("--trace", type=int, choices=(0, 1), required=True)
+    ap.add_argument("--result", required=True, help="where to write the result JSON")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--seconds", type=float, help="the window to run passes for")
+    mode.add_argument("--setup-only", action="store_true", help="stop after set-up")
+    ap.add_argument("--time-limit", type=float,
+                    help="seconds after which no pass may end (with --seconds)")
     args = ap.parse_args(argv)
+    if args.seconds is not None and args.time_limit is None:
+        ap.error("--seconds needs --time-limit")
 
     sdeim = load_sdeim()
     OUT.mkdir(parents=True, exist_ok=True)

@@ -32,9 +32,11 @@ PRESET = "lorenz63"
 HORIZONS = {"train_horizon": 40.0, "test_horizon": 10.0}
 
 # Observe+vanilla latency is sampled over the test states at least this
-# many times per pass: p99 then has >= 200 samples beyond it, and one
-# batch spans ~0.15 s, long enough to average over the VM's speed modes.
-MIN_LATENCY_SAMPLES = 20000
+# many times per pass: p99 then has >= 600 samples beyond it, and one
+# batch spans ~0.5 s. With 20000 (~0.15 s) the 16 or so batches of a run
+# caught too few of the VM's speed changes, and recon_mean_us spread 22%
+# over ten runs.
+MIN_LATENCY_SAMPLES = 60000
 
 # field_recon: POD modes, the sensor sweep, and the sensor count whose
 # errors are reported.
@@ -107,8 +109,7 @@ def make_field(seed, spec=FieldSpec()):
     return states(t_train), states(t_test)
 
 
-def field_pass(sdeim, train, test, m=FIELD_MODES, sweep=FIELD_SWEEP,
-               err_sensors=FIELD_ERR_SENSORS):
+def field_pass(sdeim, train, test):
     """POD, the sensor sweep, and every test state reconstructed at every n.
 
     The interpolation and error-identity checks run inline on each state;
@@ -122,8 +123,8 @@ def field_pass(sdeim, train, test, m=FIELD_MODES, sweep=FIELD_SWEEP,
     failures = []
     summary = {}
     t_pass = clock()
-    basis = pod.compute_pod(train, m)
-    for n in sweep:
+    basis = pod.compute_pod(train, FIELD_MODES)
+    for n in FIELD_SWEEP:
         sel = sensing.qdeim_place(basis, n)
         core = sensing.build_deim_core(basis, sel)
         idx = sel.indices
@@ -159,8 +160,8 @@ def field_pass(sdeim, train, test, m=FIELD_MODES, sweep=FIELD_SWEEP,
             "sdeim_mean_rel_err": e_s / test.shape[1],
         }
     wall = clock() - t_pass - check_s
-    summary["singular_values"] = [float(s) for s in basis.singular_values[: m + 1]]
-    ref = summary[str(err_sensors)]
+    summary["singular_values"] = [float(s) for s in basis.singular_values[: FIELD_MODES + 1]]
+    ref = summary[str(FIELD_ERR_SENSORS)]
     return PassResult(
         wall_s=wall,
         digest=_sha256(json.dumps(summary, sort_keys=True).encode()),
