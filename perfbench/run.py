@@ -15,7 +15,10 @@ with a 1/PROCESSES share of the window and each after SETUP_PROBES
 processes that only set up. A measuring process runs a cold pass and
 then warm passes until the pass boundary nearest the end of its share.
 Spreading the passes and the set-up samples over the whole run this way
-averages out the slow drift of a shared VM's speed.
+averages out the fast changes of a shared VM's speed; the slow ones, which
+last longer than a run, are taken out by timing a fixed reference
+computation after every pass and reporting times at the reference speed
+(speed.py). The result file keeps the times as measured too.
 --trace 1 starts one process that runs the layer microbenchmarks, then
 alternates untraced and traced passes for the whole window.
 
@@ -35,11 +38,13 @@ import sys
 import time
 from pathlib import Path
 
+import speed
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = HERE / "out"
-SETUP_PROBES = 3        # before each measuring process
-PROCESSES = 4
+SETUP_PROBES = 2        # before each measuring process
+PROCESSES = 6
 MIN_PROCESSES = 2
 TIME_LIMIT_S = 160.0
 EXIT_MARGIN_S = 3.0     # for a process to write its result and exit
@@ -81,16 +86,23 @@ def run_worker(argv, result_path, deadline):
     return result, ready
 
 
-def end_to_end(workers, setup):
+# End-to-end times and rates that are put at the reference speed (speed.py).
+TIMES = ("setup_s", "cold_wall_s", "wall_s", "recon_mean_us", "recon_p99_us")
+RATES = ("assim_obs_per_s",)
+
+
+def end_to_end(workload, workers, setup):
     """End-to-end metrics from the measuring processes' pass records.
 
+    Returns (metrics, raw, speed): the times and rates put at the
+    reference speed, the same as measured, and the reference summary.
     Times are means: the VM's speed flips between two modes, and a median
     jumps between them where a mean moves smoothly. Throughput and latency
     are taken from every pass, cold ones too (latency is sampled after
     each l63 pass and during each field_recon pass): assim_obs_per_s is
     all samples over all estimation time, and recon_p99_us is the median
-    over passes of each pass's 99th percentile, so a burst of
-    interference in one pass moves one sample.
+    of the 99th percentiles of batches of worker.LATENCY_BATCH consecutive
+    samples, so a burst of interference moves one batch's figure.
     """
     workers = [w for w in workers if "cold" in w]
     cold = [w["cold"] for w in workers]
@@ -99,7 +111,8 @@ def end_to_end(workers, setup):
         raise RuntimeError("no process ran both a cold and a warm pass")
     sampled = cold + warm
     n_lat = sum(p["latency_n"] for p in sampled)
-    return {
+    p99s = [q for p in sampled for q in p["latency_p99_us"]]
+    raw = {
         "setup_s": {"value": statistics.median(setup), "samples": len(setup)},
         "cold_wall_s": {"value": statistics.fmean(p["wall_s"] for p in cold),
                         "samples": len(cold)},
@@ -109,12 +122,22 @@ def end_to_end(workers, setup):
                             "samples": len(sampled)},
         "recon_mean_us": {"value": sum(p["latency_sum_us"] for p in sampled) / n_lat,
                           "samples": n_lat},
-        "recon_p99_us": {"value": statistics.median(p["latency_p99_us"] for p in sampled),
-                         "samples": len(sampled)},
+        "recon_p99_us": {"value": statistics.median(p99s), "samples": len(p99s)},
         "peak_rss_mb": {"value": max(w["peak_rss_mb"] for w in workers), "samples": len(workers)},
         "dasdeim_err": {"value": workers[0]["dasdeim_err"], "samples": len(cold)},
         "vanilla_err": {"value": workers[0]["vanilla_err"], "samples": len(cold)},
     }
+    # the median, so that a burst of interference during one reference
+    # sample does not rescale the whole run
+    ref_s = [s for w in workers for s in w["ref_s"]]
+    ref_median = statistics.median(ref_s)
+    scale = speed.NOMINAL_S[workload] / ref_median
+    metrics = {k: dict(m) for k, m in raw.items()}
+    for k in TIMES:
+        metrics[k]["value"] *= scale
+    for k in RATES:
+        metrics[k]["value"] /= scale
+    return metrics, raw, {"ref_median_s": ref_median, "ref_samples_s": ref_s, "scale": scale}
 
 
 def main(argv=None):
@@ -182,7 +205,8 @@ def main(argv=None):
         with open(OUT / f"{tag}.spans.json", "w") as fh:
             json.dump(workers[0]["spans"], fh)
     else:
-        measured = end_to_end(workers, setup)
+        measured, result["raw_metrics"], result["speed"] = end_to_end(
+            args.workload, workers, setup)
         if len({w["digest"] for w in workers if "digest" in w}) > 1:
             result["failed"] += 1
             result["failures"].append({"check": "summary digest differs between processes"})
@@ -202,8 +226,14 @@ def main(argv=None):
           f"{result['failed']} failed")
     for f in result["failures"]:
         print(f"  FAILED: {f}")
+    raw = result.get("raw_metrics", {})
     for k, m in result["metrics"].items():
-        print(f"  {k:40s} {m['value']:>16.6g} {m['unit']:8s} n={m['samples']}")
+        as_measured = f"  (as measured {raw[k]['value']:.6g})" if k in TIMES + RATES and raw else ""
+        print(f"  {k:40s} {m['value']:>16.6g} {m['unit']:8s} n={m['samples']}{as_measured}")
+    if "speed" in result:
+        sp = result["speed"]
+        print(f"  speed reference: median {sp['ref_median_s']:.4g} s over {len(sp['ref_samples_s'])} "
+              f"samples; times scaled by {sp['scale']:.4g}")
     man = result["manifest"]
     print(f"  manifest: git {man['git_sha']}, src {man['src_sha256'][:12]}, "
           f"python {man['python']}, numpy {man['numpy']}, blas {man['blas']}, "

@@ -28,7 +28,7 @@ from tracing import Tracer  # noqa: E402
 
 SMALL_FIELD = workloads.FieldSpec(n_grid=2000, n_train=120, n_test=12)
 # Shorter than the benchmark's horizons; the acceptance ranges still hold.
-SMALL_HORIZONS = {"train_horizon": 20.0, "test_horizon": 10.0, "spinup": 10.0}
+SMALL_HORIZONS = {"train_horizon": 10.0, "test_horizon": 5.0, "spinup": 10.0}
 
 
 def bench_spec():
@@ -60,11 +60,18 @@ def test_metric_names_are_well_formed_and_unique():
     assert all(re.fullmatch(r"[A-Za-z0-9_.-]+", n) for n in names)
     assert len(names) == len(set(names))
     fake = worker.pass_record(workloads.PassResult(
-        wall_s=1.0, digest="", latencies_us=[1.0, 2.0], estimator_s=1.0, estimator_samples=3))
+        wall_s=1.0, digest="", latencies_us=[float(i) for i in range(2500)],
+        estimator_s=1.0, estimator_samples=3))
+    assert fake["latency_p99_us"] == [990.0, 1990.0]     # whole batches only
     process = {"cold": fake, "warm": [fake], "peak_rss_mb": 1.0,
-               "dasdeim_err": 0.1, "vanilla_err": 0.2}
-    produced = run.end_to_end([process], [0.1])
-    assert set(produced) == {m["name"] for m in spec["end_to_end"]}
+               "dasdeim_err": 0.1, "vanilla_err": 0.2, "ref_s": [0.2, 0.6]}
+    produced, raw, _ = run.end_to_end("l63", [process], [0.1])
+    assert set(produced) == set(raw) == {m["name"] for m in spec["end_to_end"]}
+    # a reference twice the nominal time halves the times, doubles the rates
+    assert produced["wall_s"]["value"] == pytest.approx(raw["wall_s"]["value"] / 2)
+    assert produced["assim_obs_per_s"]["value"] == pytest.approx(
+        raw["assim_obs_per_s"]["value"] * 2)
+    assert produced["peak_rss_mb"] == raw["peak_rss_mb"]
 
 
 def test_small_field_recon_passes_its_checks():
@@ -89,9 +96,9 @@ def test_no_pass_starts_past_the_time_limit(tmp_path):
     args = argparse.Namespace(trace=0, seconds=60.0, time_limit=0.0)
     payload = worker.measure(sdeim, runner, args)
     assert payload["attempted"] == 1 and payload["failed"] == 0
-    assert payload["warm"] == []
+    assert payload["warm"] == [] and len(payload["ref_s"]) == 1
     with pytest.raises(RuntimeError, match="no process ran both"):
-        run.end_to_end([payload], [0.1])
+        run.end_to_end("field_recon", [payload], [0.1])
 
 
 def test_tracing_leaves_summary_bytes_unchanged(small_pipeline):

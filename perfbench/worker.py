@@ -23,6 +23,7 @@ import traceback
 from pathlib import Path
 
 import micro
+import speed
 import workloads
 from tracing import MODULES, Tracer
 
@@ -50,6 +51,7 @@ class Runner:
 
     def __init__(self, sdeim, workload, seed, tmp):
         self.sdeim = sdeim
+        self.workload = workload
         self.failures = []          # (pass id, message)
         self.digests = set()
         self.attempted = 0
@@ -98,17 +100,32 @@ def _once(value):
     return {"value": value, "samples": 1}
 
 
+# Latency samples per 99th percentile: consecutive batches of this many
+# (ten beyond the percentile). A field_recon pass samples one batch.
+LATENCY_BATCH = 1000
+
+
+def p99_per_batch(latencies):
+    """The 99th percentile of each whole batch of LATENCY_BATCH
+    consecutive samples."""
+    out = []
+    for i in range(0, len(latencies) - LATENCY_BATCH + 1, LATENCY_BATCH):
+        batch = sorted(latencies[i:i + LATENCY_BATCH])
+        out.append(batch[int(0.99 * LATENCY_BATCH)])
+    return out
+
+
 def pass_record(res):
     """What run.py needs of one untraced pass to build the end-to-end
     metrics."""
-    lat = sorted(res.latencies_us)
+    lat = res.latencies_us
     return {
         "wall_s": res.wall_s,
         "estimator_s": res.estimator_s,
         "estimator_samples": res.estimator_samples,
         "latency_sum_us": sum(lat),
         "latency_n": len(lat),
-        "latency_p99_us": lat[min(len(lat) - 1, int(0.99 * len(lat)))] if lat else None,
+        "latency_p99_us": p99_per_batch(lat),
     }
 
 
@@ -172,12 +189,17 @@ def measure(sdeim, runner, args):
     warm passes (alternately traced with --trace 1) while the last pass
     says the next would end less than half a pass after the window. No
     pass starts that the last one says would end after --time-limit.
-    Returns the result payload."""
+    Untraced, the speed reference runs after every pass. Returns the
+    result payload."""
     clock = time.perf_counter
     t_start = clock()
     micro_metrics = micro.run_all(sdeim) if args.trace else None
+    reference = None if args.trace else speed.Reference(runner.workload)
+    ref_s = []
     t0 = clock()
     cold = runner.one_pass(latencies=True)
+    if reference is not None:
+        ref_s.append(reference.seconds())
     last = clock() - t0
     warm, traced = [], []
     tracer = Tracer() if args.trace else None
@@ -198,6 +220,8 @@ def measure(sdeim, runner, args):
             res = runner.one_pass(latencies=True)
             if res is not None:
                 warm.append(res)
+            if reference is not None:
+                ref_s.append(reference.seconds())
         last = clock() - t0
 
     payload = {"pass_walls_s": {"cold": cold and cold.wall_s,
@@ -212,6 +236,7 @@ def measure(sdeim, runner, args):
     elif cold is not None:
         payload["cold"] = pass_record(cold)
         payload["warm"] = [pass_record(r) for r in warm]
+        payload["ref_s"] = ref_s
         payload["digest"] = cold.digest
         payload["dasdeim_err"] = cold.dasdeim_err
         payload["vanilla_err"] = cold.vanilla_err

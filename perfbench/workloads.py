@@ -25,18 +25,17 @@ import numpy as np
 
 WORKLOADS = ("l63", "field_recon")
 PRESET = "lorenz63"
-# A full-preset pass (train 200, test 50) takes 16-20 s; on a 2-core VM
-# whose speed drifts by up to 2x, single passes that long spread ~40%
-# from run to run. With these horizons a pass takes 3-5 s and a run holds
-# several; acceptance criteria 1, 3 and 6 still hold.
-HORIZONS = {"train_horizon": 40.0, "test_horizon": 10.0}
+# A full-preset pass (spin-up 100, train 200, test 50) takes 16-20 s; on a
+# 2-core VM whose speed drifts by up to 2x, single passes that long
+# spread ~40% from run to run. With these horizons a pass takes 2-3 s,
+# split about evenly between generate and assimilate as in the full
+# preset, and a run holds about twenty; acceptance criteria 1, 3 and 6
+# still hold.
+HORIZONS = {"spinup": 10.0, "train_horizon": 20.0, "test_horizon": 5.0}
 
 # Observe+vanilla latency is sampled over the test states at least this
-# many times per pass: p99 then has >= 600 samples beyond it, and one
-# batch spans ~0.5 s. With 20000 (~0.15 s) the 16 or so batches of a run
-# caught too few of the VM's speed changes, and recon_mean_us spread 22%
-# over ten runs.
-MIN_LATENCY_SAMPLES = 60000
+# many times per pass (~0.25 s): 30 batches of worker.LATENCY_BATCH.
+MIN_LATENCY_SAMPLES = 30000
 
 # field_recon: POD modes, the sensor sweep, and the sensor count whose
 # errors are reported.
