@@ -21,6 +21,7 @@ from .dynamics import (
 )
 from .errors import (
     AssumptionError,
+    ConfigError,
     DimensionError,
     DivergenceError,
     ObservationRangeError,

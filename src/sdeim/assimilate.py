@@ -18,11 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Trajectory
-from .errors import DimensionError, DivergenceError, ObservationRangeError
+from .dynamics import Trajectory, rk4_drive
+from .errors import DimensionError, ObservationRangeError
 from .sensing import ObservationSeries
-
-DIVERGENCE_LIMIT = 1e8
 
 
 def interpolate_obs(series, t):
@@ -33,12 +31,19 @@ def interpolate_obs(series, t):
         raise ObservationRangeError(
             f"t={t} outside observation window [{times[0]}, {times[-1]}]"
         )
-    j = int(np.searchsorted(times, t, side="right")) - 1
+    j = times.searchsorted(t, side="right") - 1
     if j >= times.size - 1:
         return series.samples[-1].copy()
     lam = (t - times[j]) / (times[j + 1] - times[j])
     y0 = series.samples[j]
     return y0 + lam * (series.samples[j + 1] - y0)
+
+
+def _affine_parts(core):
+    """u~(xi) = L y + (Phi Z) xi as (L, Phi Z): L = Phi (S^T Phi)^+ lifts
+    observations to full states; Z^T Phi^T is (Phi Z)^T."""
+    phi = core.basis.phi
+    return phi @ core.s_phi_pinv, phi @ core.kernel_matrix
 
 
 def kernel_rhs(core, f, series, t, xi):
@@ -48,10 +53,8 @@ def kernel_rhs(core, f, series, t, xi):
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (core.kernel_dim,):
         raise DimensionError(f"xi length {xi.shape} does not match kernel dim {core.kernel_dim}")
-    y = interpolate_obs(series, t)
-    phi = core.basis.phi
-    u_rec = phi @ (core.s_phi_pinv @ y) + (phi @ core.kernel_matrix) @ xi
-    return core.kernel_matrix.T @ (phi.T @ f.rhs(u_rec))
+    lift, pz = _affine_parts(core)
+    return f.rhs(lift.dot(interpolate_obs(series, t)) + pz.dot(xi)).dot(pz)
 
 
 @dataclass(frozen=True)
@@ -68,9 +71,10 @@ def das_deim(core, f, series, xi0=None, dt=None):
     """Assimilate an observation series by integrating the kernel ODE.
 
     Fixed-step RK4 with step dt (must divide the observation spacing);
-    default dt = spacing / 20. The reconstruction at each observation time
-    uses the recorded sample directly, so clean runs keep the
-    interpolation property along the whole path.
+    default dt = spacing / 20. The samples are lifted to full states once
+    (u~ is affine in y) and the lifted series is interpolated at stage
+    times; at observation times it is the recorded sample itself, so clean
+    runs keep the interpolation property along the whole path.
     """
     spacing = series.dt
     if dt is None:
@@ -78,46 +82,27 @@ def das_deim(core, f, series, xi0=None, dt=None):
     n_sub = int(round(spacing / dt))
     if n_sub < 1 or abs(n_sub * dt - spacing) > 1e-9 * spacing:
         raise ValueError(f"dt={dt} does not divide the observation spacing {spacing}")
-    h = spacing / n_sub
-    phi = core.basis.phi
-    phi_z = phi @ core.kernel_matrix
     k_dim = core.kernel_dim
-    if xi0 is None:
-        xi = np.zeros(k_dim)
-    else:
-        xi = np.asarray(xi0, dtype=float).copy()
-        if xi.shape != (k_dim,):
-            raise DimensionError(f"xi0 length {xi.shape} does not match kernel dim {k_dim}")
-
-    def rhs(t, xi_v):
-        y = interpolate_obs(series, t)
-        u_rec = phi @ (core.s_phi_pinv @ y) + phi_z @ xi_v
-        return core.kernel_matrix.T @ (phi.T @ f.rhs(u_rec))
-
+    xi0 = np.zeros(k_dim) if xi0 is None else np.asarray(xi0, dtype=float)
+    if xi0.shape != (k_dim,):
+        raise DimensionError(f"xi0 length {xi0.shape} does not match kernel dim {k_dim}")
     times = series.times
-    xi_path = [xi.copy()]
-    states = [phi @ (core.s_phi_pinv @ series.samples[0]) + phi_z @ xi]
-    for j in range(times.size - 1):
-        t = times[j]
-        for i in range(n_sub):
-            # final stage of the last substep may touch t_{j+1}; clamp
-            # stage times into the window to absorb rounding
-            t0 = min(t, times[-1])
-            if k_dim > 0:
-                k1 = rhs(t0, xi)
-                k2 = rhs(min(t0 + 0.5 * h, times[-1]), xi + 0.5 * h * k1)
-                k3 = rhs(min(t0 + 0.5 * h, times[-1]), xi + 0.5 * h * k2)
-                k4 = rhs(min(t0 + h, times[-1]), xi + h * k3)
-                xi = xi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if not np.all(np.isfinite(xi)) or np.max(np.abs(xi), initial=0.0) > DIVERGENCE_LIMIT:
-                    raise DivergenceError(f"kernel path diverged near t={t0:.6g}", t_last=times[j])
-            t = times[j] + (i + 1) * h
-        xi_path.append(xi.copy())
-        states.append(phi @ (core.s_phi_pinv @ series.samples[j + 1]) + phi_z @ xi)
+    lift, pz = _affine_parts(core)
+    lifted = ObservationSeries(times, series.samples @ lift.T)
+    if k_dim == 0:
+        xi_path = np.zeros((times.size, 0))
+    else:
+        rhs, t_end, n_steps = f.rhs, float(times[-1]), (times.size - 1) * n_sub
+
+        def kernel_ode(t, xi):
+            # the last stage may overshoot t_end by rounding
+            return rhs(interpolate_obs(lifted, min(t, t_end)) + pz.dot(xi)).dot(pz)
+
+        _, xi_path = rk4_drive(kernel_ode, xi0, spacing / n_sub, n_steps, n_sub, times[0])
     return AssimilationRun(
         times=times.copy(),
-        xi_path=np.array(xi_path),
-        reconstruction=Trajectory(times.copy(), np.array(states)),
+        xi_path=xi_path,
+        reconstruction=Trajectory(times.copy(), lifted.samples + xi_path @ pz.T),
     )
 
 

@@ -117,6 +117,37 @@ def rk4_step(f, u, dt):
     return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def rk4_drive(rhs, x0, h, n_steps, record_every=1, t0=0.0):
+    """Classical fixed-step RK4 for x' = rhs(t, x), the one time stepper:
+    n_steps steps of size h from (t0, x0), recording the initial state,
+    every record_every-th step and the last; returns (times, states).
+    Stages combine in rk4_step's order, bit for bit. A NaN or a component
+    beyond DIVERGENCE_LIMIT after any step raises DivergenceError."""
+    x = np.array(x0, dtype=float)
+    steps = [*range(0, n_steps, record_every), n_steps]
+    states = np.empty((len(steps), x.size))
+    states[0] = x
+    half, sixth = 0.5 * h, h / 6.0
+    row = 1
+    for k in range(n_steps):
+        t = t0 + k * h
+        k1 = rhs(t, x)
+        k2 = rhs(t + half, x + half * k1)
+        k3 = rhs(t + half, x + half * k2)
+        k4 = rhs(t + h, x + h * k3)
+        acc = k1 + 2.0 * k2
+        acc += 2.0 * k3
+        acc += k4
+        acc *= sixth
+        x += acc
+        if not abs(x).max() <= DIVERGENCE_LIMIT:
+            raise DivergenceError(f"state diverged at t={t + h:.6g}", t_last=t)
+        if k + 1 == steps[row]:
+            states[row] = x
+            row += 1
+    return t0 + h * np.array(steps), states
+
+
 def integrate(f, u0, t_end, dt, record_every=1):
     """Classical fixed-step RK4 from t=0 to t_end.
 
@@ -128,30 +159,14 @@ def integrate(f, u0, t_end, dt, record_every=1):
         raise ValueError("dt and t_end must be positive")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    u = np.asarray(u0, dtype=float).copy()
+    u = np.asarray(u0, dtype=float)
     if u.shape != (f.dim,):
         raise DimensionError(f"initial state length {u.shape} does not match dim {f.dim}")
     n_steps = int(round(t_end / dt))
-    times = [0.0]
-    states = [u.copy()]
-    for k in range(1, n_steps + 1):
-        u = rk4_step(f, u, dt)
-        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"state diverged at t={k * dt:.6g}", t_last=(k - 1) * dt
-            )
-        if k % record_every == 0 or k == n_steps:
-            times.append(k * dt)
-            states.append(u.copy())
-    return Trajectory(np.array(times), np.array(states))
+    return Trajectory(*rk4_drive(lambda t, x: f.rhs(x), u, dt, n_steps, record_every))
 
 
 def advance(f, u0, t_span, dt):
     """Endpoint state only (spin-up helper; nothing recorded)."""
-    traj_free = np.asarray(u0, dtype=float).copy()
     n_steps = int(round(t_span / dt))
-    for k in range(n_steps):
-        traj_free = rk4_step(f, traj_free, dt)
-        if not np.all(np.isfinite(traj_free)) or np.max(np.abs(traj_free)) > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"state diverged at t={(k + 1) * dt:.6g}", t_last=k * dt)
-    return traj_free
+    return rk4_drive(lambda t, x: f.rhs(x), u0, dt, n_steps, max(n_steps, 1))[1][-1]

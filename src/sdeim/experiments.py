@@ -22,6 +22,7 @@ import numpy as np
 from . import linalg
 from .assimilate import das_deim, post_transient_mean, relative_error_series
 from .dynamics import Trajectory, advance, integrate, linear_field, lorenz63, lorenz96, shifted_field
+from .errors import ConfigError
 from .pod import BasisMatrix, compute_pod
 from .reconstruct import prefactor_curve
 from .sensing import (
@@ -62,12 +63,26 @@ class ExperimentConfig:
     test_ic: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.train_horizon <= 0 or self.test_horizon <= 0:
-            raise ValueError("horizons must be positive")
-        if self.obs_dt <= 0:
-            raise ValueError("obs_dt must be positive")
+        for name in ("train_horizon", "test_horizon", "obs_dt", "dt", "spinup_dt", "snapshot_dt"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(name, "must be positive")
+        if self.spinup < 0:
+            raise ConfigError("spinup", "must be nonnegative")
         if not 1 <= self.n_sensors <= self.n_modes:
-            raise ValueError("need 1 <= n_sensors <= n_modes")
+            raise ConfigError("n_sensors", "need 1 <= n_sensors <= n_modes")
+        if self.kernel_substeps < 1:
+            raise ConfigError("kernel_substeps", "must be >= 1")
+        # uniform recorded grids: each spacing or span a whole number of steps
+        for name, step in (("obs_dt", "dt"), ("snapshot_dt", "dt"),
+                           ("spinup", "spinup_dt"), ("test_horizon", "obs_dt")):
+            size = getattr(self, step)
+            ratio = getattr(self, name) / size
+            n = round(ratio)
+            if ratio > 0 and (n < 1 or abs(ratio - n) > 1e-9 * n):
+                raise ConfigError(name, f"must be a whole multiple of {step}={size}")
+        dim = build_field(self).dim
+        if self.n_state != dim:
+            raise ConfigError("n_state", f"{self.n_state} is not the built field's dim {dim}")
 
     @classmethod
     def from_dict(cls, d):
@@ -102,7 +117,7 @@ def build_field(config):
         return lorenz96(int(p.get("N", config.n_state)), p.get("F", 2.0))
     if config.system == "linear":
         return linear_field(np.array(p["matrix"], dtype=float))
-    raise ValueError(f"unknown system {config.system!r}")
+    raise ConfigError("system", f"unknown system {config.system!r}")
 
 
 def _default_ics(config, f):

@@ -104,7 +104,7 @@ def pinv(a, rank_tol=None):
         rank_tol = default_rank_tol(a.shape, s[0] if s.size else 0.0)
     if rank_tol < 0:
         raise ValueError("rank_tol must be nonnegative")
-    inv = np.where(s > rank_tol, np.divide(1.0, s, where=s > 0), 0.0)
+    inv = np.where(s > rank_tol, np.divide(1.0, s, out=np.zeros_like(s), where=s > 0), 0.0)
     return (v * inv) @ u.T
 
 

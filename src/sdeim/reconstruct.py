@@ -81,7 +81,7 @@ def _check_obs(core, y):
 def vanilla_deim(core, y):
     """Phi (S^T Phi)^+ y: the minimum-norm interpolation estimate."""
     y = _check_obs(core, y)
-    return core.basis.phi @ (core.s_phi_pinv @ y + np.zeros(core.n_modes))
+    return core.basis.phi @ (core.s_phi_pinv @ y)
 
 
 def sdeim(core, y, z):

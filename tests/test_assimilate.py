@@ -10,9 +10,16 @@ from sdeim.assimilate import (
     post_transient_mean,
     relative_error_series,
 )
-from sdeim.dynamics import Trajectory, integrate, linear_field, lorenz63
-from sdeim.errors import DimensionError, ObservationRangeError
-from sdeim.pod import BasisMatrix
+from sdeim.dynamics import (
+    DIVERGENCE_LIMIT,
+    Trajectory,
+    integrate,
+    linear_field,
+    lorenz63,
+    shifted_field,
+)
+from sdeim.errors import DimensionError, DivergenceError, ObservationRangeError
+from sdeim.pod import BasisMatrix, compute_pod
 from sdeim.sensing import ObservationSeries, SensorSelection, build_deim_core, observe, qdeim_place
 
 
@@ -25,6 +32,45 @@ def make_core(rng, n_state, m, n):
     basis = BasisMatrix(random_orthonormal(rng, n_state, m))
     idx = np.sort(rng.choice(n_state, size=n, replace=False))
     return build_deim_core(basis, SensorSelection(n_state, idx))
+
+
+def reference_kernel_path(core, f, series, xi0, n_sub):
+    """Plain RK4 over kernel_rhs, one observation interval at a time: the
+    kernel state after every substep, with the time it was reached, up to
+    the first state beyond DIVERGENCE_LIMIT."""
+    times = series.times
+    h = series.dt / n_sub
+
+    def rhs(t, x):
+        return kernel_rhs(core, f, series, min(t, times[-1]), x)
+
+    xi = np.asarray(xi0, dtype=float)
+    out = [(times[0], xi)]
+    for j in range(times.size - 1):
+        for i in range(n_sub):
+            t = times[j] + i * h
+            k1 = rhs(t, xi)
+            k2 = rhs(t + 0.5 * h, xi + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, xi + 0.5 * h * k2)
+            k4 = rhs(t + h, xi + h * k3)
+            xi = xi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out.append((t + h, xi))
+            if not np.max(np.abs(xi)) <= DIVERGENCE_LIMIT:
+                return out
+    return out
+
+
+def lorenz63_assimilation_case():
+    """A centred Lorenz63 basis with m = 3 modes and n = 1 sensor, as in
+    the lorenz63 preset, over one time unit of observations."""
+    f = lorenz63()
+    train = integrate(f, np.array([1.0, 1.0, 1.0]), 20.0, 1e-2)
+    mean = train.states.mean(axis=0)
+    basis = compute_pod((train.states - mean).T, 3)
+    core = build_deim_core(basis, qdeim_place(basis.leading(1), 1))
+    test = integrate(f, np.array([-5.0, 4.0, 20.0]), 1.0, 1e-3, record_every=10)
+    series = ObservationSeries(test.times, (test.states - mean)[:, core.selection.indices])
+    return core, shifted_field(f, mean), series
 
 
 class TestInterpolateObs:
@@ -139,6 +185,34 @@ class TestDasDeim:
         run = das_deim(core, f, series, dt=0.01)
         assert run.xi_path.shape == (11, 2)
         assert np.array_equal(run.times, times)
+
+    @pytest.mark.parametrize("system", ["linear", "lorenz63"])
+    def test_xi_path_matches_reference_rk4_over_kernel_rhs(self, system):
+        rng = np.random.default_rng(11)
+        if system == "linear":
+            core = make_core(rng, 6, 4, 2)
+            f = linear_field(-np.eye(6) + 0.3 * rng.normal(size=(6, 6)))
+            series = ObservationSeries(0.05 * np.arange(21), rng.normal(size=(21, 2)))
+        else:
+            core, f, series = lorenz63_assimilation_case()
+        xi0 = rng.normal(size=core.kernel_dim)
+        n_sub = 8
+        run = das_deim(core, f, series, xi0=xi0, dt=series.dt / n_sub)
+        ref = np.array([xi for _, xi in reference_kernel_path(core, f, series, xi0, n_sub)[::n_sub]])
+        assert np.linalg.norm(run.xi_path - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_divergence_reports_last_finite_step_time(self):
+        # xi' = 50 xi for an orthonormal basis: the kernel path blows up
+        rng = np.random.default_rng(12)
+        core = make_core(rng, 6, 4, 2)
+        f = linear_field(50.0 * np.eye(6))
+        series = ObservationSeries(0.1 + 0.1 * np.arange(11), np.zeros((11, 2)))
+        xi0 = np.ones(core.kernel_dim)
+        path = reference_kernel_path(core, f, series, xi0, 10)
+        assert np.max(np.abs(path[-1][1])) > DIVERGENCE_LIMIT
+        with pytest.raises(DivergenceError) as err:
+            das_deim(core, f, series, xi0=xi0, dt=0.01)
+        assert err.value.t_last == pytest.approx(path[-2][0], abs=1e-12)
 
     def test_rejects_nondividing_step(self):
         rng = np.random.default_rng(7)

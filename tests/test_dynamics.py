@@ -1,14 +1,20 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import sdeim
 from sdeim.dynamics import (
+    DIVERGENCE_LIMIT,
     Trajectory,
     advance,
     integrate,
     linear_field,
     lorenz63,
     lorenz96,
+    rk4_step,
     shifted_field,
 )
 from sdeim.errors import DimensionError, DivergenceError
@@ -113,10 +119,31 @@ class TestIntegrate:
         assert np.allclose(traj.times[1:3], [0.3, 0.6])
 
     def test_divergence_guard(self):
+        # t_last is the time of the last step that stayed below the limit
         f = linear_field(np.array([[50.0]]))
-        with pytest.raises(DivergenceError) as err:
-            integrate(f, np.array([1.0]), 10.0, 0.01)
-        assert err.value.t_last >= 0.0
+        dt = 0.01
+        u, k = np.array([1.0]), 0
+        while abs(u[0]) <= DIVERGENCE_LIMIT:
+            u, k = rk4_step(f, u, dt), k + 1
+        for run in (integrate, advance):
+            with pytest.raises(DivergenceError) as err:
+                run(f, np.array([1.0]), 10.0, dt)
+            assert err.value.t_last == pytest.approx((k - 1) * dt, abs=1e-12)
+
+    def test_stage_order_matches_rk4_step_bit_for_bit(self):
+        f = lorenz63()
+        u = np.array([1.0, 1.0, 1.0])
+        ref = [u]
+        for _ in range(2000):
+            u = rk4_step(f, u, 1e-3)
+            ref.append(u)
+        traj = integrate(f, ref[0], 2.0, 1e-3)
+        assert np.array_equal(traj.states, np.array(ref))
+
+    def test_divergence_limit_defined_once(self):
+        sources = Path(sdeim.__file__).parent.glob("*.py")
+        found = sum(len(re.findall(r"^DIVERGENCE_LIMIT\s*=", p.read_text(), re.M)) for p in sources)
+        assert found == 1
 
     def test_advance_matches_integrate_endpoint(self):
         f = lorenz63()

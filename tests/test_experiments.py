@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from sdeim.errors import ConfigError
 from sdeim.experiments import (
     ExperimentConfig,
     generate_trajectories,
@@ -44,6 +45,24 @@ class TestPresets:
         assert (cfg.n_sensors, cfg.n_modes) == (1, 5)
         assert cfg.obs_dt == 0.2
         assert cfg.noise_std == 0.1
+
+    @pytest.mark.parametrize("preset, field, value", [
+        ("lorenz63", "obs_dt", 0.0125),
+        ("lorenz63", "snapshot_dt", 0.0105),
+        ("lorenz63", "spinup", 100.005),
+        ("linear8", "test_horizon", 1.01),
+        ("linear8", "n_state", 99),
+        ("linear8", "kernel_substeps", 0),
+    ])
+    def test_inconsistent_config_fails_at_load_naming_the_field(self, preset, field, value):
+        fields = {**load_preset(preset).__dict__, field: value}
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**fields)
+        assert err.value.field == field
+
+    def test_shortened_lorenz63_horizons_load(self):
+        fields = load_preset("lorenz63").__dict__
+        ExperimentConfig(**{**fields, "spinup": 10.0, "train_horizon": 20.0, "test_horizon": 5.0})
 
     def test_unknown_preset_raises(self):
         with pytest.raises(FileNotFoundError):
