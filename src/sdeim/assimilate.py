@@ -39,13 +39,6 @@ def interpolate_obs(series, t):
     return y0 + lam * (series.samples[j + 1] - y0)
 
 
-def _affine_parts(core):
-    """u~(xi) = L y + (Phi Z) xi as (L, Phi Z): L = Phi (S^T Phi)^+ lifts
-    observations to full states; Z^T Phi^T is (Phi Z)^T."""
-    phi = core.basis.phi
-    return phi @ core.s_phi_pinv, phi @ core.kernel_matrix
-
-
 def kernel_rhs(core, f, series, t, xi):
     """Kernel ODE right-hand side Z^T Phi^T f(u~(xi)) at time t."""
     if core.kernel_dim == 0:
@@ -53,8 +46,8 @@ def kernel_rhs(core, f, series, t, xi):
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (core.kernel_dim,):
         raise DimensionError(f"xi length {xi.shape} does not match kernel dim {core.kernel_dim}")
-    lift, pz = _affine_parts(core)
-    return f.rhs(lift.dot(interpolate_obs(series, t)) + pz.dot(xi)).dot(pz)
+    pz = core.kernel_lift
+    return f.rhs(core.lift.dot(interpolate_obs(series, t)) + pz.dot(xi)).dot(pz)
 
 
 @dataclass(frozen=True)
@@ -87,8 +80,8 @@ def das_deim(core, f, series, xi0=None, dt=None):
     if xi0.shape != (k_dim,):
         raise DimensionError(f"xi0 length {xi0.shape} does not match kernel dim {k_dim}")
     times = series.times
-    lift, pz = _affine_parts(core)
-    lifted = ObservationSeries(times, series.samples @ lift.T)
+    pz = core.kernel_lift
+    lifted = ObservationSeries(times, series.samples @ core.lift.T)
     if k_dim == 0:
         xi_path = np.zeros((times.size, 0))
     else:

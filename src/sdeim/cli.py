@@ -110,7 +110,7 @@ def cmd_pipeline(args):
     try:
         result = run_pipeline(cfg)
     except Exception as exc:  # surface the failing stage
-        raise SystemExit(f"pipeline failed: {exc}") from exc
+        raise SystemExit(f"pipeline failed: {type(exc).__name__}: {exc}") from exc
     print(json.dumps(result.summary, indent=2, sort_keys=True))
     print(f"artifacts in {cfg.output_dir}", file=sys.stderr)
     return 0

@@ -61,10 +61,13 @@ def lorenz63(sigma=10.0, rho=28.0, beta=8.0 / 3.0):
     """
 
     def rhs(u):
+        # Python floats: the same IEEE arithmetic as indexing numpy
+        # scalars, without eight scalar boxings per call
+        x, y, z = u.tolist()
         return np.array([
-            sigma * (u[1] - u[0]),
-            u[0] * (rho - u[2]) - u[1],
-            u[0] * u[1] - beta * u[2],
+            sigma * (y - x),
+            x * (rho - z) - y,
+            x * y - beta * z,
         ])
 
     return VectorField(dim=3, rhs=rhs, params={"sigma": sigma, "rho": rho, "beta": beta})

@@ -206,8 +206,7 @@ def run_pipeline(config, write=True):
     v_modes = config.vanilla_modes or config.n_modes
     for m_v in sorted({v_modes, *config.vanilla_sweep}):
         core_v = build_deim_core(basis.leading(m_v), selection)
-        coeffs = core_v.s_phi_pinv @ observations.samples.T
-        rec = mean + (core_v.basis.phi @ coeffs).T
+        rec = mean + observations.samples @ core_v.lift.T
         errors_vanilla[m_v] = relative_error_series(Trajectory(test.times, rec), test)
     timings["vanilla"] = time.perf_counter() - t0
 
@@ -221,9 +220,8 @@ def run_pipeline(config, write=True):
         xi_path = run.xi_path
         rec_states = mean + run.reconstruction.states
     else:
-        coeffs = core.s_phi_pinv @ observations.samples.T
         xi_path = np.zeros((test.times.size, 0))
-        rec_states = mean + (core.basis.phi @ coeffs).T
+        rec_states = mean + observations.samples @ core.lift.T
     reconstruction = Trajectory(test.times, rec_states)
     errors_das = relative_error_series(reconstruction, test)
     timings["assimilate"] = time.perf_counter() - t0

@@ -142,11 +142,16 @@ def add_noise(series, spec):
 
 @dataclass(frozen=True)
 class DeimCore:
-    """Cached factorizations for one (basis, sensors) pair.
+    """Everything reconstruction needs for one (basis, sensors) pair, built
+    from one full SVD of s_phi = S^T Phi (n x m).
 
-    s_phi = S^T Phi (n x m), s_phi_pinv its pseudoinverse, kernel_matrix Z
-    an orthonormal basis of N[S^T Phi] (m x (m-n) when n < m), and
-    prefactor = ||(S^T Phi)^+||_2, the error-bound constant.
+    s_phi_pinv is its pseudoinverse, kernel_matrix Z an orthonormal basis
+    of N[S^T Phi] (m x (m-n) when n < m), and prefactor = 1 / sigma_min =
+    ||(S^T Phi)^+||_2, the error-bound constant. Every estimate is affine
+    in the samples and the kernel coordinates, u~ = lift @ y + kernel_lift
+    @ xi, so the two N-row operators are stored: lift = Phi (S^T Phi)^+
+    (N x n) and kernel_lift = Phi Z (N x (m-n)), both column-major, which
+    makes the per-state products stream down contiguous columns.
     """
 
     basis: BasisMatrix
@@ -155,6 +160,8 @@ class DeimCore:
     s_phi_pinv: np.ndarray
     kernel_matrix: np.ndarray
     prefactor: float
+    lift: np.ndarray
+    kernel_lift: np.ndarray
 
     @property
     def dim(self):
@@ -174,25 +181,32 @@ class DeimCore:
 
 
 def build_deim_core(basis, sel):
-    """Factor S^T Phi once; raises AssumptionError when it is rank
-    deficient (the full-rank sampling assumption)."""
+    """Factor S^T Phi with one SVD and one rank decision; raises
+    AssumptionError when it is rank deficient (the full-rank sampling
+    assumption)."""
     if sel.n_state != basis.dim:
         raise DimensionError("selection and basis dimension mismatch")
-    s_phi = basis.phi[sel.indices, :].copy()
+    phi = basis.phi
+    s_phi = phi[sel.indices, :]
     n, m = s_phi.shape
-    rank = linalg.matrix_rank(s_phi)
+    u, s, vt = np.linalg.svd(s_phi, full_matrices=True)
+    rank = int(np.sum(s > linalg.default_rank_tol(s_phi.shape, s[0])))
     if rank != min(n, m):
         raise AssumptionError(
             f"rank(S^T Phi) = {rank} < min(n, m) = {min(n, m)}: sampled basis is rank deficient"
         )
-    s_phi_pinv = linalg.pinv(s_phi)
-    kernel = linalg.nullspace_orthonormal(s_phi)
-    prefactor = linalg.spectral_norm(s_phi_pinv)
+    s_phi_pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
+    kernel = vt[rank:].T.copy()
+    # one pass over Phi for both operators; the transposed product comes
+    # out column-major, and column blocks of it stay column-major
+    lifts = (np.hstack([s_phi_pinv, kernel]).T @ phi.T).T
     return DeimCore(
         basis=basis,
         selection=sel,
         s_phi=s_phi,
         s_phi_pinv=s_phi_pinv,
         kernel_matrix=kernel,
-        prefactor=prefactor,
+        prefactor=float(1.0 / s[rank - 1]),
+        lift=lifts[:, :n],
+        kernel_lift=lifts[:, n:],
     )

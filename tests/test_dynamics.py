@@ -33,6 +33,17 @@ class TestLorenz63:
         f = lorenz63()
         assert np.allclose(f.rhs(np.ones(3)), [0.0, 26.0, 1.0 - 8.0 / 3.0])
 
+    def test_matches_indexed_expression_bitwise(self):
+        sigma, rho, beta = 10.0, 28.0, 8.0 / 3.0
+        f = lorenz63(sigma, rho, beta)
+        for u in np.random.default_rng(0).normal(scale=20.0, size=(1000, 3)):
+            expect = np.array([
+                sigma * (u[1] - u[0]),
+                u[0] * (rho - u[2]) - u[1],
+                u[0] * u[1] - beta * u[2],
+            ])
+            assert np.array_equal(f.rhs(u), expect)
+
 
 class TestLorenz96:
     def test_uniform_forcing_state_is_equilibrium(self):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -186,6 +187,21 @@ class TestCli:
         config_to_json(cfg, cfg_path)
         proc = run_cli("pipeline", "--config", str(cfg_path))
         assert proc.returncode == 0, proc.stderr
+
+    def test_pipeline_failure_names_the_exception_type(self, tmp_path, linear_cfg):
+        from sdeim.cli import main
+        from sdeim.experiments import config_to_json
+
+        cfg = ExperimentConfig.from_dict({
+            **asdict(linear_cfg),
+            "params": {"matrix": (50.0 * np.eye(8)).tolist()},
+            "output_dir": str(tmp_path),
+        })
+        cfg_path = tmp_path / "cfg.json"
+        config_to_json(cfg, cfg_path)
+        with pytest.raises(SystemExit) as info:
+            main(["pipeline", "--config", str(cfg_path)])
+        assert str(info.value.code).startswith("pipeline failed: DivergenceError: ")
 
 
 class TestPropertiesCommand:

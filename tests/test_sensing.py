@@ -199,3 +199,33 @@ class TestDeimCore:
         core = build_deim_core(basis, sel)
         expect = np.linalg.svd(core.s_phi_pinv, compute_uv=False)[0]
         assert core.prefactor == pytest.approx(expect, rel=1e-12)
+        sigma_min = np.linalg.svd(core.s_phi, compute_uv=False)[-1]
+        assert core.prefactor == pytest.approx(1.0 / sigma_min, rel=1e-12)
+
+    def test_one_svd_per_core(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        basis = BasisMatrix(random_orthonormal(rng, 30, 6))
+        sel = qdeim_place(basis, 3)
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        build_deim_core(basis, sel)
+        assert calls == [(3, 6)]
+
+    @pytest.mark.parametrize("n", [2, 5, 6])
+    def test_lifts_match_products_and_are_column_major(self, n):
+        rng = np.random.default_rng(7)
+        basis = BasisMatrix(random_orthonormal(rng, 40, 5))
+        idx = rng.choice(40, size=n, replace=False)
+        core = build_deim_core(basis, SensorSelection(40, idx))
+        phi = basis.phi
+        assert core.lift.shape == (40, n)
+        assert core.kernel_lift.shape == (40, core.kernel_dim)
+        assert np.max(np.abs(core.lift - phi @ core.s_phi_pinv)) < 1e-12
+        assert np.max(np.abs(core.kernel_lift - phi @ core.kernel_matrix), initial=0.0) < 1e-12
+        assert core.lift.flags.f_contiguous and core.kernel_lift.flags.f_contiguous
