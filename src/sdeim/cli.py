@@ -1,24 +1,23 @@
-"""Command-line harness: generate, pod, place, reconstruct, assimilate,
-pipeline, properties."""
+"""Command-line harness: generate, pod, place, pipeline (aliases
+reconstruct, assimilate), properties. Each subcommand calls the stage
+functions that run_pipeline uses."""
 
 import argparse
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import linalg
 from .experiments import (
     ExperimentConfig,
+    fit_basis,
     generate_trajectories,
     list_presets,
     load_preset,
+    place_sensors,
     run_pipeline,
 )
-from .pod import compute_pod
 from .properties import run_all
-from .sensing import qdeim_place
 
 
 def _load_config(args):
@@ -63,8 +62,7 @@ def cmd_pod(args):
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _, train, _ = generate_trajectories(cfg)
-    mean = train.states.mean(axis=0) if cfg.center else np.zeros(train.states.shape[1])
-    basis = compute_pod((train.states - mean).T, cfg.n_modes)
+    _, basis = fit_basis(cfg, train)
     linalg.save_matrix_csv(out / "pod_modes.csv", basis.phi)
     linalg.save_matrix_csv(out / "singular_values.csv", basis.singular_values.reshape(-1, 1))
     print(f"wrote {out / 'pod_modes.csv'} and {out / 'singular_values.csv'}")
@@ -76,32 +74,10 @@ def cmd_place(args):
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _, train, _ = generate_trajectories(cfg)
-    mean = train.states.mean(axis=0) if cfg.center else np.zeros(train.states.shape[1])
-    basis = compute_pod((train.states - mean).T, cfg.n_modes)
-    sel = qdeim_place(basis.leading(cfg.placement_modes or cfg.n_modes), cfg.n_sensors)
+    _, basis = fit_basis(cfg, train)
+    sel = place_sensors(cfg, basis)
     sel.to_csv(out / "sensors.csv")
     print(f"sensor indices: {[int(i) for i in sel.indices]}")
-    return 0
-
-
-def cmd_reconstruct(args):
-    cfg = _load_config(args)
-    result = run_pipeline(cfg)
-    v = cfg.vanilla_modes or cfg.n_modes
-    errs = result.errors_vanilla[v]
-    print(f"vanilla (m={v}) time-mean relative error: {np.nanmean(errs):.4f}")
-    print(f"artifacts in {cfg.output_dir}")
-    return 0
-
-
-def cmd_assimilate(args):
-    cfg = _load_config(args)
-    result = run_pipeline(cfg)
-    print(
-        "assimilation post-transient mean relative error: "
-        f"{result.summary['dasdeim_post_transient_mean']:.3e}"
-    )
-    print(f"artifacts in {cfg.output_dir}")
     return 0
 
 
@@ -110,7 +86,9 @@ def cmd_pipeline(args):
     try:
         result = run_pipeline(cfg)
     except Exception as exc:  # surface the failing stage
-        raise SystemExit(f"pipeline failed: {type(exc).__name__}: {exc}") from exc
+        stage = getattr(exc, "stage", None)
+        where = f" (stage: {stage})" if stage else ""
+        raise SystemExit(f"pipeline failed: {type(exc).__name__}: {exc}{where}") from exc
     print(json.dumps(result.summary, indent=2, sort_keys=True))
     print(f"artifacts in {cfg.output_dir}", file=sys.stderr)
     return 0
@@ -147,15 +125,14 @@ def main(argv=None):
         description="Sparse-sensor state reconstruction and kernel-ODE assimilation experiments",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, fn, desc in [
-        ("generate", cmd_generate, "write train/test trajectories"),
-        ("pod", cmd_pod, "extract the basis and singular values"),
-        ("place", cmd_place, "greedy sensor placement"),
-        ("reconstruct", cmd_reconstruct, "pointwise interpolation baseline"),
-        ("assimilate", cmd_assimilate, "kernel-ODE data assimilation"),
-        ("pipeline", cmd_pipeline, "full experiment with summary.json"),
+    for name, fn, desc, aliases in [
+        ("generate", cmd_generate, "write train/test trajectories", []),
+        ("pod", cmd_pod, "extract the basis and singular values", []),
+        ("place", cmd_place, "greedy sensor placement", []),
+        ("pipeline", cmd_pipeline, "full experiment with summary.json: interpolation "
+         "baseline and kernel-ODE assimilation", ["reconstruct", "assimilate"]),
     ]:
-        sub = subs.add_parser(name, help=desc)
+        sub = subs.add_parser(name, help=desc, aliases=aliases)
         _add_config_flags(sub)
         sub.set_defaults(fn=fn)
     prop = subs.add_parser("properties", help="run all module invariant suites")

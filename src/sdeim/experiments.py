@@ -14,6 +14,7 @@ coordinates; the vector field is shifted accordingly for assimilation.
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -172,66 +173,74 @@ class PipelineResult:
     timings: dict
 
 
+def fit_basis(config, train):
+    """The basis stage: the training mean (zero unless config.center) and
+    the POD of the training fluctuations about it, n_modes modes."""
+    mean = train.states.mean(axis=0) if config.center else np.zeros(train.states.shape[1])
+    return mean, compute_pod((train.states - mean).T, config.n_modes)
+
+
+def place_sensors(config, basis):
+    """The placement stage: Q-DEIM on the leading placement_modes modes
+    (n_modes when 0)."""
+    return qdeim_place(basis.leading(config.placement_modes or config.n_modes), config.n_sensors)
+
+
+@contextmanager
+def _stage(timings, name):
+    """Time one pipeline stage into timings[name]; an exception raised in
+    it carries the stage's name as exc.stage."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        exc.stage = name
+        raise
+    timings[name] = time.perf_counter() - t0
+
+
 def run_pipeline(config, write=True):
     """Run every stage; returns the full result bundle and, unless
     write=False, emits the CSV/JSON artifacts into config.output_dir."""
     timings = {}
-    t0 = time.perf_counter()
-    f, train, test = generate_trajectories(config)
-    timings["generate"] = time.perf_counter() - t0
+    with _stage(timings, "generate"):
+        f, train, test = generate_trajectories(config)
 
-    t0 = time.perf_counter()
-    mean = train.states.mean(axis=0) if config.center else np.zeros(f.dim)
-    snapshots = (train.states - mean).T
-    basis = compute_pod(snapshots, config.n_modes)
-    raw_sv = (
-        basis.singular_values
-        if not config.center
-        else np.linalg.svd(train.states.T, compute_uv=False)
-    )
-    timings["pod"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    p_modes = config.placement_modes or config.n_modes
-    selection = qdeim_place(basis.leading(p_modes), config.n_sensors)
-    timings["place"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    clean = observe_trajectory(test.times, test.states - mean, selection)
-    observations = add_noise(clean, NoiseSpec(config.noise_std, config.seed))
-    timings["observe"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    errors_vanilla = {}
-    v_modes = config.vanilla_modes or config.n_modes
-    for m_v in sorted({v_modes, *config.vanilla_sweep}):
-        core_v = build_deim_core(basis.leading(m_v), selection)
-        rec = mean + observations.samples @ core_v.lift.T
-        errors_vanilla[m_v] = relative_error_series(Trajectory(test.times, rec), test)
-    timings["vanilla"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    core = build_deim_core(basis, selection)
-    if core.kernel_dim > 0:
-        f_est = shifted_field(f, mean) if config.center else f
-        run = das_deim(
-            core, f_est, observations, dt=config.obs_dt / config.kernel_substeps
+    with _stage(timings, "pod"):
+        mean, basis = fit_basis(config, train)
+        raw_sv = (
+            basis.singular_values
+            if not config.center
+            else np.linalg.svd(train.states.T, compute_uv=False)
         )
-        xi_path = run.xi_path
-        rec_states = mean + run.reconstruction.states
-    else:
-        xi_path = np.zeros((test.times.size, 0))
-        rec_states = mean + observations.samples @ core.lift.T
-    reconstruction = Trajectory(test.times, rec_states)
-    errors_das = relative_error_series(reconstruction, test)
-    timings["assimilate"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    m_lo = config.n_sensors
-    m_range = list(range(m_lo, config.n_modes + 1))
-    pf_fixed = prefactor_curve(basis, config.n_sensors, m_range)
-    pf_replaced = prefactor_curve(basis, config.n_sensors, m_range, replace_sensors=True)
-    timings["prefactor"] = time.perf_counter() - t0
+    with _stage(timings, "place"):
+        selection = place_sensors(config, basis)
+
+    with _stage(timings, "observe"):
+        clean = observe_trajectory(test.times, test.states - mean, selection)
+        observations = add_noise(clean, NoiseSpec(config.noise_std, config.seed))
+
+    v_modes = config.vanilla_modes or config.n_modes
+    with _stage(timings, "vanilla"):
+        cores, errors_vanilla = {}, {}
+        for m_v in sorted({v_modes, *config.vanilla_sweep}):
+            cores[m_v] = build_deim_core(basis.leading(m_v), selection)
+            rec = mean + observations.samples @ cores[m_v].lift.T
+            errors_vanilla[m_v] = relative_error_series(Trajectory(test.times, rec), test)
+
+    with _stage(timings, "assimilate"):
+        # the vanilla stage's core when it has the same mode count
+        core = cores.get(config.n_modes) or build_deim_core(basis, selection)
+        f_est = shifted_field(f, mean) if config.center else f
+        run = das_deim(core, f_est, observations, dt=config.obs_dt / config.kernel_substeps)
+        reconstruction = Trajectory(test.times, mean + run.reconstruction.states)
+        errors_das = relative_error_series(reconstruction, test)
+
+    with _stage(timings, "prefactor"):
+        m_range = list(range(config.n_sensors, config.n_modes + 1))
+        pf_fixed = prefactor_curve(basis, config.n_sensors, m_range)
+        pf_replaced = prefactor_curve(basis, config.n_sensors, m_range, replace_sensors=True)
 
     cut = config.transient_fraction
     sv = basis.singular_values
@@ -275,7 +284,7 @@ def run_pipeline(config, write=True):
         observations=observations,
         errors_vanilla=errors_vanilla,
         errors_dasdeim=errors_das,
-        xi_path=xi_path,
+        xi_path=run.xi_path,
         reconstruction=reconstruction,
         prefactors_fixed=pf_fixed,
         prefactors_replaced=pf_replaced,
@@ -306,9 +315,7 @@ def write_artifacts(result):
     )
     linalg.save_matrix_csv(
         out / "xi_path.csv",
-        np.column_stack([result.test.times, result.xi_path])
-        if result.xi_path.shape[1]
-        else result.test.times.reshape(-1, 1),
+        np.column_stack([result.test.times, result.xi_path]),
     )
     result.reconstruction.to_csv(out / "reconstruction.csv")
     linalg.save_matrix_csv(

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError
-from .sensing import SensorSelection, build_deim_core
+from .sensing import SensorSelection, build_deim_core, check_full_rank, qdeim_place
 
 KERNEL_MEMBERSHIP_TOL = 1e-10
 
@@ -159,7 +159,8 @@ def error_report(core, u, z):
 
 
 def prefactor_curve(basis_full, n, m_range, replace_sensors=False):
-    """||(S^T Phi_m)^+||_2 over mode counts m.
+    """||(S^T Phi_m)^+||_2 = 1 / sigma_min(S^T Phi_m) over mode counts m,
+    from the singular values of the n x m sampled rows alone (no DeimCore).
 
     Sensors are placed once from the smallest-m sub-basis and held fixed
     (nonincreasing values by singular-value interlacing); with
@@ -169,16 +170,14 @@ def prefactor_curve(basis_full, n, m_range, replace_sensors=False):
     m_range = [int(m) for m in m_range]
     if any(m < n for m in m_range):
         raise DimensionError("prefactor curve needs m >= n throughout")
-    from .sensing import qdeim_place
-
     sel = qdeim_place(basis_full.leading(min(m_range)), n)
     out = []
     for m in m_range:
-        sub = basis_full.leading(m)
         if replace_sensors:
-            sel = qdeim_place(sub, n)
-        core = build_deim_core(sub, sel)
-        out.append((m, core.prefactor))
+            sel = qdeim_place(basis_full.leading(m), n)
+        s = np.linalg.svd(basis_full.phi[sel.indices, :m], compute_uv=False)
+        check_full_rank((n, m), s)
+        out.append((m, float(1.0 / s[-1])))
     return out
 
 
@@ -200,7 +199,8 @@ def two_stage_sdeim(basis, sel1, sel2, y1, y2):
     combined = SensorSelection(
         basis.dim, np.concatenate([sel1.indices, sel2.indices])
     )
-    build_deim_core(basis, combined)  # full-rank assumption on the union
+    s_union = basis.phi[combined.indices, :]
+    check_full_rank(s_union.shape, np.linalg.svd(s_union, compute_uv=False))
     s2_phi = basis.phi[sel2.indices, :]
     c0 = core1.s_phi_pinv @ y1
     m_mat = s2_phi @ core1.kernel_matrix

@@ -1,6 +1,6 @@
 """Sensor placement, observation extraction, and noise injection."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,21 +180,27 @@ class DeimCore:
         return self.kernel_matrix.shape[1]
 
 
+def check_full_rank(shape, s):
+    """The rank decision on S^T Phi of this shape from its descending
+    singular values s; raises AssumptionError when it is rank deficient
+    (the full-rank sampling assumption). Returns the rank, min(n, m)."""
+    rank = int(np.sum(s > linalg.default_rank_tol(shape, s[0])))
+    if rank != min(shape):
+        raise AssumptionError(
+            f"rank(S^T Phi) = {rank} < min(n, m) = {min(shape)}: sampled basis is rank deficient"
+        )
+    return rank
+
+
 def build_deim_core(basis, sel):
-    """Factor S^T Phi with one SVD and one rank decision; raises
-    AssumptionError when it is rank deficient (the full-rank sampling
-    assumption)."""
+    """Factor S^T Phi with one SVD and one rank decision (check_full_rank)."""
     if sel.n_state != basis.dim:
         raise DimensionError("selection and basis dimension mismatch")
     phi = basis.phi
     s_phi = phi[sel.indices, :]
-    n, m = s_phi.shape
+    n = s_phi.shape[0]
     u, s, vt = np.linalg.svd(s_phi, full_matrices=True)
-    rank = int(np.sum(s > linalg.default_rank_tol(s_phi.shape, s[0])))
-    if rank != min(n, m):
-        raise AssumptionError(
-            f"rank(S^T Phi) = {rank} < min(n, m) = {min(n, m)}: sampled basis is rank deficient"
-        )
+    rank = check_full_rank(s_phi.shape, s)
     s_phi_pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
     kernel = vt[rank:].T.copy()
     # one pass over Phi for both operators; the transposed product comes

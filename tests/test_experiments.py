@@ -6,7 +6,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from sdeim.errors import ConfigError
+from sdeim import experiments, reconstruct
+from sdeim.errors import ConfigError, DivergenceError
 from sdeim.experiments import (
     ExperimentConfig,
     generate_trajectories,
@@ -14,6 +15,7 @@ from sdeim.experiments import (
     load_preset,
     run_pipeline,
 )
+from sdeim.sensing import build_deim_core
 
 
 def run_cli(*args):
@@ -132,6 +134,45 @@ class TestPipeline:
         bytes_b = (tmp_path / "b" / "summary.json").read_bytes()
         assert bytes_a == bytes_b
 
+    def test_no_kernel_pipeline_is_vanilla_deim(self, tmp_path, linear_cfg):
+        # n = m: DAS-DEIM has an empty kernel and reduces to the vanilla estimate
+        cfg = ExperimentConfig(**{
+            **linear_cfg.__dict__, "n_sensors": linear_cfg.n_modes, "output_dir": str(tmp_path),
+        })
+        result = run_pipeline(cfg)
+        core = build_deim_core(result.basis, result.selection)
+        vanilla = result.mean + result.observations.samples @ core.lift.T
+        assert np.array_equal(result.reconstruction.states, vanilla)
+        assert np.array_equal(result.errors_dasdeim, result.errors_vanilla[cfg.n_modes])
+        times = result.test.times
+        assert result.xi_path.shape == (times.size, 0)
+        xi_csv = np.loadtxt(tmp_path / "xi_path.csv", delimiter=",", ndmin=2)
+        assert xi_csv.shape == (times.size, 1)
+        assert np.array_equal(xi_csv[:, 0], times)
+
+    @pytest.mark.parametrize("vanilla_modes, sweep, expect", [
+        (2, [1, 2, 4], [1, 2, 4]),  # n_modes = 4 shared with the vanilla sweep
+        (2, [], [2, 4]),
+    ])
+    def test_one_core_per_distinct_mode_count(self, monkeypatch, linear_cfg,
+                                              vanilla_modes, sweep, expect):
+        cfg = ExperimentConfig(**{
+            **linear_cfg.__dict__, "vanilla_modes": vanilla_modes, "vanilla_sweep": sweep,
+        })
+        calls = []
+
+        def counted(basis, sel):
+            calls.append(basis.n_modes)
+            return build_deim_core(basis, sel)
+
+        for module in (experiments, reconstruct):
+            monkeypatch.setattr(module, "build_deim_core", counted)
+        result = run_pipeline(cfg, write=False)
+        assert calls == expect
+        assert list(result.timings) == [
+            "generate", "pod", "place", "observe", "vanilla", "assimilate", "prefactor",
+        ]
+
     def test_prefactor_curve_fixed_nonincreasing(self, tmp_path, linear_cfg):
         cfg = ExperimentConfig(**{**linear_cfg.__dict__, "output_dir": str(tmp_path)})
         result = run_pipeline(cfg, write=False)
@@ -154,12 +195,16 @@ class TestCli:
         ).read_bytes()
 
     def test_pod_place_reconstruct_assimilate(self, tmp_path):
-        for cmd in ("pod", "place", "reconstruct", "assimilate"):
+        for cmd in ("pod", "place", "reconstruct", "assimilate", "pipeline"):
             proc = run_cli(cmd, "--preset", "linear8", "--out", str(tmp_path / cmd))
             assert proc.returncode == 0, f"{cmd}: {proc.stderr}"
         assert (tmp_path / "pod" / "pod_modes.csv").exists()
         assert (tmp_path / "place" / "sensors.csv").exists()
         assert (tmp_path / "assimilate" / "errors_dasdeim.csv").exists()
+        # reconstruct and assimilate are aliases of pipeline
+        summary = (tmp_path / "pipeline" / "summary.json").read_bytes()
+        for alias in ("reconstruct", "assimilate"):
+            assert (tmp_path / alias / "summary.json").read_bytes() == summary
 
     def test_pipeline_emits_summary_json(self, tmp_path):
         proc = run_cli("pipeline", "--preset", "linear8", "--out", str(tmp_path))
@@ -202,6 +247,24 @@ class TestCli:
         with pytest.raises(SystemExit) as info:
             main(["pipeline", "--config", str(cfg_path)])
         assert str(info.value.code).startswith("pipeline failed: DivergenceError: ")
+
+    def test_pipeline_failure_names_the_stage(self, tmp_path, linear_cfg):
+        from sdeim.cli import main
+        from sdeim.experiments import config_to_json
+
+        cfg = ExperimentConfig.from_dict({
+            **asdict(linear_cfg),
+            "params": {"matrix": (50.0 * np.eye(8)).tolist()},
+            "output_dir": str(tmp_path),
+        })
+        with pytest.raises(DivergenceError) as err:
+            run_pipeline(cfg, write=False)
+        assert err.value.stage == "generate"
+        cfg_path = tmp_path / "cfg.json"
+        config_to_json(cfg, cfg_path)
+        with pytest.raises(SystemExit) as info:
+            main(["pipeline", "--config", str(cfg_path)])
+        assert str(info.value.code).endswith(" (stage: generate)")
 
 
 class TestPropertiesCommand:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sdeim.errors import DimensionError
+from sdeim import reconstruct
+from sdeim.errors import AssumptionError, DimensionError
 from sdeim.pod import BasisMatrix
 from sdeim.reconstruct import (
     KernelVector,
@@ -18,6 +19,19 @@ from sdeim.sensing import SensorSelection, build_deim_core, observe, qdeim_place
 def random_orthonormal(rng, n, m):
     q, _ = np.linalg.qr(rng.normal(size=(n, m)))
     return q[:, :m]
+
+
+def count_cores(monkeypatch):
+    """Route reconstruct's build_deim_core through a counter; returns the
+    list of mode counts it was called with."""
+    calls = []
+
+    def counted(basis, sel):
+        calls.append(basis.n_modes)
+        return build_deim_core(basis, sel)
+
+    monkeypatch.setattr(reconstruct, "build_deim_core", counted)
+    return calls
 
 
 def make_core(rng, n_state, m, n):
@@ -174,6 +188,30 @@ class TestPrefactorCurve:
         with pytest.raises(DimensionError):
             prefactor_curve(basis, 3, [2, 3])
 
+    @pytest.mark.parametrize("replace", [False, True])
+    def test_matches_core_prefactor_without_building_cores(self, monkeypatch, replace):
+        rng = np.random.default_rng(22)
+        basis = BasisMatrix(random_orthonormal(rng, 30, 8))
+        calls = count_cores(monkeypatch)
+        curve = prefactor_curve(basis, 3, range(3, 9), replace_sensors=replace)
+        assert calls == []
+        sel = qdeim_place(basis.leading(3), 3)
+        for m, value in curve:
+            if replace:
+                sel = qdeim_place(basis.leading(m), 3)
+            expect = build_deim_core(basis.leading(m), sel).prefactor
+            assert value == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("replace", [False, True])
+    def test_rank_deficient_sampling_rejected(self, monkeypatch, replace):
+        # sensors on a zero row of Phi: S^T Phi loses rank
+        phi = np.zeros((4, 2))
+        phi[0, 0] = 1.0
+        phi[1, 1] = 1.0
+        monkeypatch.setattr(reconstruct, "qdeim_place", lambda basis, n: SensorSelection(4, [0, 3]))
+        with pytest.raises(AssumptionError):
+            prefactor_curve(BasisMatrix(phi), 2, [2], replace_sensors=replace)
+
 
 class TestTwoStage:
     def test_empty_second_batch_reduces_to_vanilla(self):
@@ -206,6 +244,25 @@ class TestTwoStage:
         u = rng.normal(size=10)
         rec = two_stage_sdeim(basis, sel1, sel2, u[[0, 3]], u[[7, 9]])
         assert np.linalg.norm(observe(rec, sel1) - u[[0, 3]]) < 1e-10
+
+    def test_builds_only_the_first_batch_core(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        basis = BasisMatrix(random_orthonormal(rng, 10, 6))
+        calls = count_cores(monkeypatch)
+        u = rng.normal(size=10)
+        two_stage_sdeim(
+            basis, SensorSelection(10, [0, 3]), SensorSelection(10, [7, 9]), u[[0, 3]], u[[7, 9]]
+        )
+        assert calls == [6]
+
+    def test_rank_deficient_union_rejected(self):
+        # row 9 of Phi is zero: the first batch is full rank, the union is not
+        rng = np.random.default_rng(24)
+        basis = BasisMatrix(np.vstack([random_orthonormal(rng, 9, 6), np.zeros((1, 6))]))
+        sel1 = SensorSelection(10, [0, 3])
+        build_deim_core(basis, sel1)
+        with pytest.raises(AssumptionError):
+            two_stage_sdeim(basis, sel1, SensorSelection(10, [7, 9]), np.ones(2), np.ones(2))
 
     def test_overlapping_batches_rejected(self):
         rng = np.random.default_rng(21)
