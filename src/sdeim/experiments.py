@@ -24,7 +24,7 @@ from . import linalg
 from .assimilate import das_deim, post_transient_mean, relative_error_series
 from .dynamics import Trajectory, advance, integrate, linear_field, lorenz63, lorenz96, shifted_field
 from .errors import ConfigError
-from .pod import BasisMatrix, compute_pod
+from .pod import BasisMatrix, compute_pod, singular_values
 from .reconstruct import prefactor_curve
 from .sensing import (
     NoiseSpec,
@@ -208,11 +208,7 @@ def run_pipeline(config, write=True):
 
     with _stage(timings, "pod"):
         mean, basis = fit_basis(config, train)
-        raw_sv = (
-            basis.singular_values
-            if not config.center
-            else np.linalg.svd(train.states.T, compute_uv=False)
-        )
+        raw_sv = basis.singular_values if not config.center else singular_values(train.states.T)
 
     with _stage(timings, "place"):
         selection = place_sensors(config, basis)

@@ -45,20 +45,16 @@ class PivotedQR:
     perm: np.ndarray
 
 
-def qr_column_pivot(a):
-    """Householder QR with greedy column pivoting.
-
-    At step k the remaining column with the largest trailing Euclidean
-    norm is moved to position k; near-ties (within TIE_RTOL relative)
-    resolve to the lowest original column index.
-    """
-    a = _as_matrix(a, "qr input")
+def _householder_pivot(a, steps, with_q):
+    """The greedy column-pivoted Householder loop, run for `steps` steps on
+    a copy of a. Returns (r, q, perm); q accumulates the reflectors only
+    when with_q (None otherwise), and no step reads it, so r and perm do
+    not depend on with_q."""
     rows, cols = a.shape
-    k_max = min(rows, cols)
     r = a.copy()
-    q = np.eye(rows)
+    q = np.eye(rows) if with_q else None
     perm = np.arange(cols)
-    for k in range(k_max):
+    for k in range(steps):
         norms = np.linalg.norm(r[k:, k:], axis=0)
         best = norms.max()
         if best == 0.0:
@@ -78,7 +74,21 @@ def qr_column_pivot(a):
             continue
         v /= nv
         r[k:, :] -= 2.0 * np.outer(v, v @ r[k:, :])
-        q[:, k:] -= 2.0 * np.outer(q[:, k:] @ v, v)
+        if with_q:
+            q[:, k:] -= 2.0 * np.outer(q[:, k:] @ v, v)
+    return r, q, perm
+
+
+def qr_column_pivot(a):
+    """Householder QR with greedy column pivoting.
+
+    At step k the remaining column with the largest trailing Euclidean
+    norm is moved to position k; near-ties (within TIE_RTOL relative)
+    resolve to the lowest original column index.
+    """
+    a = _as_matrix(a, "qr input")
+    k_max = min(a.shape)
+    r, q, perm = _householder_pivot(a, k_max, with_q=True)
     r_thin = np.triu(r[:k_max, :])
     # sign convention: nonnegative diagonal of R
     flip = np.diag(r_thin) < 0
@@ -86,6 +96,16 @@ def qr_column_pivot(a):
     q_thin = q[:, :k_max].copy()
     q_thin[:, flip] *= -1.0
     return PivotedQR(q=q_thin, r=r_thin, perm=perm)
+
+
+def column_pivots(a, n):
+    """The first n entries of qr_column_pivot(a).perm, bit for bit, from
+    only the first min(n, rows, cols) steps of the same loop and no Q."""
+    a = _as_matrix(a, "qr input")
+    if not 1 <= n <= a.shape[1]:
+        raise DimensionError(f"n={n} outside 1..{a.shape[1]}")
+    _, _, perm = _householder_pivot(a, min(n, *a.shape), with_q=False)
+    return perm[:n].copy()
 
 
 def svd_thin(a):

@@ -67,18 +67,47 @@ class BasisMatrix:
         return BasisMatrix(self.phi[:, :m].copy(), self.singular_values)
 
 
+def _snapshot_matrix(snapshots):
+    if isinstance(snapshots, SnapshotSet):
+        return snapshots.snapshots
+    return linalg._as_matrix(snapshots, "snapshots")
+
+
+def _tall_r(x):
+    """R factor of the tall orientation of x (x^T when N <= K): a square
+    of order min(N, K) with the singular values of x, from one Householder
+    QR that forms no Q."""
+    return np.linalg.qr(x.T if x.shape[0] <= x.shape[1] else x, mode="r")
+
+
+def singular_values(snapshots):
+    """The full spectrum of the snapshot matrix, by compute_pod's route."""
+    return np.linalg.svd(_tall_r(_snapshot_matrix(snapshots)), compute_uv=False)
+
+
 def compute_pod(snapshots, m):
     """Leading m left singular vectors of the snapshot matrix, as given
-    (no mean subtraction). singular_values carries the full spectrum."""
-    if isinstance(snapshots, SnapshotSet):
-        x = snapshots.snapshots
-    else:
-        x = linalg._as_matrix(snapshots, "snapshots")
-    u, s, _ = linalg.svd_thin(x)
+    (no mean subtraction). singular_values carries the full spectrum.
+
+    Only the small R factor of the tall orientation is decomposed, so no
+    N x K singular-vector matrix is formed. Wide x (N <= K) is R^T Q^T,
+    so the left singular vectors of the N x N R^T are those of x. Tall x
+    is Q R, so the left singular vectors V of the K x K R^T are the right
+    ones of x, and Phi is the thin-QR orthonormalisation of x V[:, :m]
+    (signs fixed so its R has a positive diagonal): orthonormal to
+    rounding even when sigma_m is near the rank tolerance, where
+    x V / sigma would not be. Mode signs are defined up to +-1.
+    """
+    x = _snapshot_matrix(snapshots)
+    u, s, _ = np.linalg.svd(_tall_r(x).T)
     rank = int(np.sum(s > linalg.default_rank_tol(x.shape, s[0])))
     if not 1 <= m <= rank:
         raise RankError(f"m={m} exceeds the numerical rank {rank} of the snapshot matrix")
-    return BasisMatrix(u[:, :m].copy(), s)
+    if x.shape[0] <= x.shape[1]:
+        return BasisMatrix(u[:, :m].copy(), s)
+    phi, r_m = np.linalg.qr(x @ u[:, :m])
+    phi[:, np.diag(r_m) < 0] *= -1.0
+    return BasisMatrix(phi, s)
 
 
 def truncation_error(u, basis):

@@ -116,37 +116,46 @@ def matrix_core_suite(seed=0):
 
 
 def pod_suite(seed=0, phi_override=None):
+    """POD contracts on a rank-3 10 x 50 snapshot matrix, the wide
+    orientation the presets take, and on its 50 x 10 transpose, the tall
+    one large fields take. phi_override replaces the wide basis."""
     rng = np.random.default_rng(seed)
     res = []
     x = rng.normal(size=(10, 3)) @ rng.normal(size=(3, 50))
+    _pod_checks(res, rng, x, "", phi_override)
+    _pod_checks(res, rng, x.T, " (tall 50 x 10 snapshots)", None)
+    return res
+
+
+def _pod_checks(res, rng, x, label, phi_override):
+    dim = x.shape[0]
     basis = compute_pod(x, 2)
     phi = basis.phi if phi_override is None else np.asarray(phi_override, dtype=float)
     gram = np.linalg.norm(phi.T @ phi - np.eye(phi.shape[1]))
-    _check(res, "basis orthonormality", gram < 1e-10, f"||Phi^T Phi - I|| = {gram:.2e}")
+    _check(res, "basis orthonormality" + label, gram < 1e-10, f"||Phi^T Phi - I|| = {gram:.2e}")
 
     worst = 0.0
     for _ in range(20):
-        u = rng.normal(size=10)
+        u = rng.normal(size=dim)
         c = rng.normal(size=2)
         u_hat = phi @ (phi.T @ u)
         worst = max(
             worst,
             abs(np.dot(u - u_hat, phi @ c)) / (np.linalg.norm(u) * np.linalg.norm(c) + 1e-300),
         )
-    _check(res, "orthogonal reconstruction residual perpendicular to range", worst < 1e-10,
-           f"worst {worst:.2e}")
+    _check(res, "orthogonal reconstruction residual perpendicular to range" + label,
+           worst < 1e-10, f"worst {worst:.2e}")
 
     pod_err = sum(truncation_error(x[:, k], basis) for k in range(x.shape[1]))
     beaten = 0
     for _ in range(100):
-        q = _random_orthonormal(rng, 10, 2)
+        q = _random_orthonormal(rng, dim, 2)
         rand_basis = BasisMatrix(q)
         rand_err = sum(truncation_error(x[:, k], rand_basis) for k in range(x.shape[1]))
         if rand_err < pod_err - 1e-12:
             beaten += 1
-    _check(res, "pod beats 100 random bases on summed truncation error", beaten == 0,
+    _check(res, "pod beats 100 random bases on summed truncation error" + label, beaten == 0,
            f"beaten {beaten} times")
-    return res
 
 
 def sensing_suite(seed=0):

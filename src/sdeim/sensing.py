@@ -99,11 +99,10 @@ class ObservationSeries:
 
 def qdeim_place(basis, n):
     """Sensor placement from the column-pivot order of Phi^T: the first n
-    pivots. Deterministic given the basis (ties resolve to lowest index)."""
-    if not 1 <= n <= basis.dim:
-        raise DimensionError(f"n={n} outside 1..{basis.dim}")
-    fac = linalg.qr_column_pivot(basis.phi.T)
-    return SensorSelection(basis.dim, fac.perm[:n].copy())
+    pivots, from n pivoting steps and no Q (DimensionError unless
+    1 <= n <= N). Deterministic given the basis (ties resolve to lowest
+    index)."""
+    return SensorSelection(basis.dim, linalg.column_pivots(basis.phi.T, n))
 
 
 def observe(u, sel):

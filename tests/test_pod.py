@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sdeim.errors import DimensionError, RankError
-from sdeim.pod import BasisMatrix, SnapshotSet, compute_pod, truncation_error
+from sdeim.pod import BasisMatrix, SnapshotSet, compute_pod, singular_values, truncation_error
 
 
 def random_orthonormal(rng, n, m):
@@ -10,39 +10,100 @@ def random_orthonormal(rng, n, m):
     return q[:, :m]
 
 
+# every case runs on a wide (N <= K) and a tall (N > K) snapshot matrix:
+# compute_pod takes a different route for each
+WIDE_AND_TALL = pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
+
+
+def graded_tall(rng, n=200, k=40, graded=30):
+    """n x k snapshots whose singular values fall geometrically from 1 to
+    1e-9 over the first `graded`, then are exactly zero."""
+    u, _ = np.linalg.qr(rng.normal(size=(n, k)))
+    v, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    sigma = np.zeros(k)
+    sigma[:graded] = np.logspace(0, -9, graded)
+    return (u * sigma) @ v.T, sigma
+
+
 class TestComputePod:
-    def test_rank_one_snapshots(self):
-        col = np.array([3.0, 0.0, 4.0])
+    @WIDE_AND_TALL
+    def test_rank_one_snapshots(self, tall):
+        col = np.array([3.0, 0.0, 4.0] * (5 if tall else 1))
         snaps = np.tile(col[:, None], (1, 7))
         basis = compute_pod(snaps, 1)
         direction = basis.phi[:, 0]
-        assert np.allclose(np.abs(direction), np.abs(col) / 5.0)
+        assert np.allclose(np.abs(direction), np.abs(col) / np.linalg.norm(col))
 
-    def test_orthonormal_output(self):
+    @WIDE_AND_TALL
+    def test_orthonormal_output(self, tall):
         rng = np.random.default_rng(0)
-        basis = compute_pod(rng.normal(size=(9, 30)), 4)
+        x = rng.normal(size=(9, 30))
+        basis = compute_pod(x.T if tall else x, 4)
         gram = basis.phi.T @ basis.phi
         assert np.linalg.norm(gram - np.eye(4)) < 1e-10
 
-    def test_full_spectrum_attached(self):
+    @WIDE_AND_TALL
+    def test_full_spectrum_attached(self, tall):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(5, 12))
+        x = x.T if tall else x
         basis = compute_pod(x, 2)
         assert basis.singular_values.shape == (5,)
         assert np.allclose(basis.singular_values, np.linalg.svd(x, compute_uv=False))
+        assert np.allclose(singular_values(x), basis.singular_values, rtol=1e-13, atol=0)
 
-    def test_m_beyond_rank_raises_with_rank_in_message(self):
+    @WIDE_AND_TALL
+    def test_m_beyond_rank_raises_with_rank_in_message(self, tall):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(8, 3)) @ rng.normal(size=(3, 20))
         with pytest.raises(RankError, match="rank 3"):
-            compute_pod(x, 4)
+            compute_pod(x.T if tall else x, 4)
 
-    def test_snapshotset_wrapper(self):
+    @WIDE_AND_TALL
+    def test_snapshotset_wrapper(self, tall):
         rng = np.random.default_rng(3)
-        snap = SnapshotSet(rng.normal(size=(6, 11)), source="unit test")
-        assert snap.dim == 6 and snap.count == 11
+        x = rng.normal(size=(6, 11))
+        x = x.T if tall else x
+        snap = SnapshotSet(x, source="unit test")
+        assert (snap.dim, snap.count) == x.shape
         basis = compute_pod(snap, 2)
         assert basis.n_modes == 2
+
+    def test_graded_spectrum_tall(self):
+        rng = np.random.default_rng(10)
+        x, sigma = graded_tall(rng)
+        eps = np.finfo(float).eps
+        ref_u, ref_s, _ = np.linalg.svd(x, full_matrices=False)
+        basis = compute_pod(x, 30)
+        # singular values to the absolute accuracy of a backward-stable SVD
+        assert np.max(np.abs(basis.singular_values - ref_s)) < eps * max(x.shape) * sigma[0]
+        for m in (5, 12, 25, 30):
+            phi = compute_pod(x, m).phi
+            assert np.linalg.norm(phi.T @ phi - np.eye(m)) < 1e-12
+            if m < 30:
+                # sin of the largest angle between the leading-m subspaces
+                gap = ref_s[m - 1] - ref_s[m]
+                dist = np.linalg.norm(phi - ref_u[:, :m] @ (ref_u[:, :m].T @ phi), 2)
+                assert dist < 10 * eps * sigma[0] / gap
+        with pytest.raises(RankError, match="rank 30"):
+            compute_pod(x, 31)
+
+    @WIDE_AND_TALL
+    def test_no_n_by_k_matrix_reaches_svd(self, tall, monkeypatch):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(12, 50))
+        x = x.T if tall else x
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        compute_pod(x, 3)
+        singular_values(x)
+        assert calls == [(12, 12), (12, 12)]
 
 
 class TestBasisMatrix:

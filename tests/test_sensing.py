@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sdeim import linalg
 from sdeim.errors import AssumptionError, DimensionError
 from sdeim.pod import BasisMatrix
 from sdeim.sensing import (
@@ -70,6 +71,32 @@ class TestQdeimPlace:
         a = qdeim_place(BasisMatrix(q), 3)
         b = qdeim_place(BasisMatrix(q[:, [2, 0, 3, 1]]), 3)
         assert np.array_equal(a.indices, b.indices)
+
+
+def fourier_basis(n, modes):
+    """cos/sin modes on a uniform periodic grid: many near-tied pivot norms."""
+    x = 2.0 * np.pi * np.arange(n) / n
+    k = np.arange(1, modes // 2 + 1)
+    waves = np.hstack([np.cos(np.outer(x, k)), np.sin(np.outer(x, k))])
+    return waves / np.linalg.norm(waves, axis=0)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        random_orthonormal(np.random.default_rng(20), 15, 4),
+        random_orthonormal(np.random.default_rng(21), 500, 12),
+        np.eye(4)[:, ::-1],
+        fourier_basis(64, 10),
+    ],
+    ids=["random15x4", "random500x12", "tie-break", "fourier64x10"],
+)
+def test_qdeim_place_is_the_pivoted_qr_prefix(phi):
+    # n steps and no Q must give the full factorization's first n pivots
+    basis = BasisMatrix(phi)
+    perm = linalg.qr_column_pivot(basis.phi.T).perm
+    for n in range(1, basis.n_modes + 1):
+        assert np.array_equal(qdeim_place(basis, n).indices, perm[:n])
 
 
 class TestObserveScatter:
