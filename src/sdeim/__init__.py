@@ -29,7 +29,6 @@ from .errors import (
 )
 from .linalg import (
     PivotedQR,
-    load_matrix_csv,
     nullspace_orthonormal,
     pinv,
     qr_column_pivot,
@@ -37,7 +36,7 @@ from .linalg import (
     spectral_norm,
     svd_thin,
 )
-from .pod import BasisMatrix, SnapshotSet, compute_pod, truncation_error
+from .pod import BasisMatrix, compute_pod, truncation_error
 from .reconstruct import (
     ErrorReport,
     KernelVector,
@@ -58,7 +57,6 @@ from .sensing import (
     observe,
     observe_trajectory,
     qdeim_place,
-    scatter,
 )
 
 __version__ = "0.1.0"

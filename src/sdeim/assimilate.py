@@ -14,13 +14,15 @@ kernel, so noisy y(t) is never differentiated.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .dynamics import Trajectory, rk4_drive
 from .errors import DimensionError, ObservationRangeError
 from .sensing import ObservationSeries
+
+# Leading share of an error series treated as the assimilation transient.
+TRANSIENT_FRACTION = 0.25
 
 
 def interpolate_obs(series, t):
@@ -57,7 +59,6 @@ class AssimilationRun:
     times: np.ndarray
     xi_path: np.ndarray
     reconstruction: Trajectory
-    error_series: Optional[np.ndarray] = None
 
 
 def das_deim(core, f, series, xi0=None, dt=None):
@@ -99,10 +100,10 @@ def das_deim(core, f, series, xi0=None, dt=None):
     )
 
 
-def relative_error_series(run, truth):
-    """e(t_k) = ||u~(t_k) - u(t_k)|| / ||u(t_k)|| on a shared time grid;
-    zero-norm truth samples yield NaN (excluded from means)."""
-    rec = run.reconstruction if isinstance(run, AssimilationRun) else run
+def relative_error_series(rec, truth):
+    """e(t_k) = ||u~(t_k) - u(t_k)|| / ||u(t_k)|| between two trajectories
+    on a shared time grid; zero-norm truth samples yield NaN (excluded
+    from means)."""
     if rec.states.shape != truth.states.shape or not np.allclose(
         rec.times, truth.times, rtol=0.0, atol=1e-9
     ):
@@ -115,7 +116,7 @@ def relative_error_series(run, truth):
     return out
 
 
-def post_transient_mean(errors, discard_fraction=0.25):
+def post_transient_mean(errors, discard_fraction=TRANSIENT_FRACTION):
     """Mean over the tail of the series, skipping the leading transient
     (and NaN-flagged samples)."""
     errors = np.asarray(errors, dtype=float)

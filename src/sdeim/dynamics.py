@@ -19,9 +19,6 @@ class VectorField:
     rhs: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
 
-    def __call__(self, u):
-        return self.rhs(u)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -48,11 +45,6 @@ class Trajectory:
 
     def to_csv(self, path):
         linalg.save_matrix_csv(path, np.column_stack([self.times, self.states]))
-
-    @classmethod
-    def from_csv(cls, path):
-        a = linalg.load_matrix_csv(path)
-        return cls(a[:, 0], a[:, 1:])
 
 
 def lorenz63(sigma=10.0, rho=28.0, beta=8.0 / 3.0):

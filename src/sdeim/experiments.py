@@ -15,13 +15,13 @@ coordinates; the vector field is shifted accordingly for assimilation.
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import linalg
-from .assimilate import das_deim, post_transient_mean, relative_error_series
+from .assimilate import TRANSIENT_FRACTION, das_deim, post_transient_mean, relative_error_series
 from .dynamics import Trajectory, advance, integrate, linear_field, lorenz63, lorenz96, shifted_field
 from .errors import ConfigError
 from .pod import BasisMatrix, compute_pod, singular_values
@@ -59,7 +59,6 @@ class ExperimentConfig:
     vanilla_modes: int = 0            # 0 -> use n_modes
     vanilla_sweep: list = field(default_factory=list)
     kernel_substeps: int = 20
-    transient_fraction: float = 0.25
     train_ic: list = field(default_factory=list)
     test_ic: list = field(default_factory=list)
 
@@ -84,9 +83,22 @@ class ExperimentConfig:
         dim = build_field(self).dim
         if self.n_state != dim:
             raise ConfigError("n_state", f"{self.n_state} is not the built field's dim {dim}")
+        # initial conditions come as a pair of dim-vectors, or not at all
+        for name, other in (("train_ic", "test_ic"), ("test_ic", "train_ic")):
+            ic = getattr(self, name)
+            if ic and not getattr(self, other):
+                raise ConfigError(name, f"given without {other}; give both or neither")
+            if ic and len(ic) != dim:
+                raise ConfigError(name, f"length {len(ic)} is not the state dim {dim}")
 
     @classmethod
     def from_dict(cls, d):
+        """The config from a dict of field values; a key that names no
+        field raises ConfigError(key)."""
+        known = {f.name for f in fields(cls)}
+        for key in d:
+            if key not in known:
+                raise ConfigError(key, "is not a config field")
         return cls(**d)
 
     @classmethod
@@ -122,7 +134,7 @@ def build_field(config):
 
 
 def _default_ics(config, f):
-    if config.train_ic and config.test_ic:
+    if config.train_ic:
         return np.array(config.train_ic, float), np.array(config.test_ic, float)
     if config.system == "lorenz63":
         return np.array([1.0, 1.0, 1.0]), np.array([-5.0, 4.0, 20.0])
@@ -238,21 +250,20 @@ def run_pipeline(config, write=True):
         pf_fixed = prefactor_curve(basis, config.n_sensors, m_range)
         pf_replaced = prefactor_curve(basis, config.n_sensors, m_range, replace_sensors=True)
 
-    cut = config.transient_fraction
     sv = basis.singular_values
-    das_post = errors_das[int(len(errors_das) * cut):]
+    das_post = errors_das[int(len(errors_das) * TRANSIENT_FRACTION):]
     summary = {
         "system": config.system,
         "vanilla_mean_rel_err": float(np.nanmean(errors_vanilla[v_modes])),
-        "vanilla_post_transient_mean": post_transient_mean(errors_vanilla[v_modes], cut),
+        "vanilla_post_transient_mean": post_transient_mean(errors_vanilla[v_modes]),
         "vanilla_by_modes": {
             str(m_v): {
                 "mean": float(np.nanmean(e)),
-                "post_transient_mean": post_transient_mean(e, cut),
+                "post_transient_mean": post_transient_mean(e),
             }
             for m_v, e in errors_vanilla.items()
         },
-        "dasdeim_post_transient_mean": post_transient_mean(errors_das, cut),
+        "dasdeim_post_transient_mean": post_transient_mean(errors_das),
         "dasdeim_post_transient_min": float(np.nanmin(das_post)),
         "sensor_indices": [int(i) for i in selection.indices],
         "sigma5": float(sv[4]) if sv.size > 4 else None,

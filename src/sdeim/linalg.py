@@ -157,8 +157,3 @@ def save_matrix_csv(path, a):
     exactly."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     np.savetxt(path, a, fmt="%.17e", delimiter=",")
-
-
-def load_matrix_csv(path):
-    a = np.loadtxt(path, delimiter=",", ndmin=2)
-    return a

@@ -11,26 +11,6 @@ ORTHONORMALITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class SnapshotSet:
-    """Snapshot matrix, one state per column (N x K)."""
-
-    snapshots: np.ndarray
-    source: str = ""
-
-    def __post_init__(self):
-        snaps = linalg._as_matrix(self.snapshots, "snapshots")
-        object.__setattr__(self, "snapshots", snaps)
-
-    @property
-    def dim(self):
-        return self.snapshots.shape[0]
-
-    @property
-    def count(self):
-        return self.snapshots.shape[1]
-
-
-@dataclass(frozen=True)
 class BasisMatrix:
     """Orthonormal N x m basis with the full singular spectrum of the data
     it came from."""
@@ -67,12 +47,6 @@ class BasisMatrix:
         return BasisMatrix(self.phi[:, :m].copy(), self.singular_values)
 
 
-def _snapshot_matrix(snapshots):
-    if isinstance(snapshots, SnapshotSet):
-        return snapshots.snapshots
-    return linalg._as_matrix(snapshots, "snapshots")
-
-
 def _tall_r(x):
     """R factor of the tall orientation of x (x^T when N <= K): a square
     of order min(N, K) with the singular values of x, from one Householder
@@ -82,12 +56,13 @@ def _tall_r(x):
 
 def singular_values(snapshots):
     """The full spectrum of the snapshot matrix, by compute_pod's route."""
-    return np.linalg.svd(_tall_r(_snapshot_matrix(snapshots)), compute_uv=False)
+    return np.linalg.svd(_tall_r(linalg._as_matrix(snapshots, "snapshots")), compute_uv=False)
 
 
 def compute_pod(snapshots, m):
-    """Leading m left singular vectors of the snapshot matrix, as given
-    (no mean subtraction). singular_values carries the full spectrum.
+    """Leading m left singular vectors of the N x K snapshot matrix (one
+    state per column), as given (no mean subtraction). singular_values
+    carries the full spectrum.
 
     Only the small R factor of the tall orientation is decomposed, so no
     N x K singular-vector matrix is formed. Wide x (N <= K) is R^T Q^T,
@@ -98,7 +73,7 @@ def compute_pod(snapshots, m):
     rounding even when sigma_m is near the rank tolerance, where
     x V / sigma would not be. Mode signs are defined up to +-1.
     """
-    x = _snapshot_matrix(snapshots)
+    x = linalg._as_matrix(snapshots, "snapshots")
     u, s, _ = np.linalg.svd(_tall_r(x).T)
     rank = int(np.sum(s > linalg.default_rank_tol(x.shape, s[0])))
     if not 1 <= m <= rank:
@@ -117,11 +92,3 @@ def truncation_error(u, basis):
         raise DimensionError(f"state length {u.shape} does not match basis dim {basis.dim}")
     phi = basis.phi
     return float(np.linalg.norm(u - phi @ (phi.T @ u)))
-
-
-def load_snapshots(path, source=""):
-    return SnapshotSet(linalg.load_matrix_csv(path), source=source or str(path))
-
-
-def save_singular_values(path, basis):
-    linalg.save_matrix_csv(path, basis.singular_values.reshape(-1, 1))

@@ -36,10 +36,6 @@ class KernelVector:
         return int(self.xi.size)
 
     @classmethod
-    def zero(cls, core):
-        return cls(np.zeros(core.kernel_dim))
-
-    @classmethod
     def from_coefficients(cls, core, z):
         """Validate membership of a raw m-vector z in N[S^T Phi]."""
         z = np.asarray(z, dtype=float)
@@ -118,15 +114,6 @@ class ErrorReport:
     kernel_sq: float
     upper_bound: float
 
-    def csv_row(self):
-        return "{:.17e},{:.17e},{:.17e},{:.17e},{:.17e}".format(
-            self.total_sq**0.5,
-            self.trunc_sq**0.5,
-            self.oblique_sq**0.5,
-            self.kernel_sq**0.5,
-            self.upper_bound,
-        )
-
 
 def error_report(core, u, z):
     """Full-state error decomposition of the reconstruction with kernel
@@ -184,14 +171,15 @@ def prefactor_curve(basis_full, n, m_range, replace_sensors=False):
 def two_stage_sdeim(basis, sel1, sel2, y1, y2):
     """Reconstruct from a first sensor batch, then fit the kernel vector
     to a withheld second batch (minimum-norm fit). Equivalent to the plain
-    estimate using all sensors at once."""
+    estimate using all sensors at once. Only sel2=None reduces to the
+    plain estimate from the first batch; y2 must have shape (sel2.n,)."""
     if set(sel1.indices.tolist()) & set(sel2.indices.tolist() if sel2 is not None else []):
         raise DimensionError("sensor batches must be disjoint")
     core1 = build_deim_core(basis, sel1)
     y1 = np.asarray(y1, dtype=float)
     if y1.shape != (sel1.n,):
         raise DimensionError("first observation batch length mismatch")
-    if sel2 is None or sel2.n == 0 or (y2 is not None and np.asarray(y2).size == 0):
+    if sel2 is None:
         return vanilla_deim(core1, y1)
     y2 = np.asarray(y2, dtype=float)
     if y2.shape != (sel2.n,):

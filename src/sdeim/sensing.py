@@ -39,12 +39,6 @@ class SensorSelection:
         with open(path, "w") as fh:
             fh.write(",".join(str(i) for i in self.indices) + "\n")
 
-    @classmethod
-    def from_csv(cls, path, n_state):
-        with open(path) as fh:
-            idx = [int(tok) for tok in fh.read().strip().split(",")]
-        return cls(n_state, np.array(idx))
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -91,11 +85,6 @@ class ObservationSeries:
     def to_csv(self, path):
         linalg.save_matrix_csv(path, np.column_stack([self.times, self.samples]))
 
-    @classmethod
-    def from_csv(cls, path):
-        a = linalg.load_matrix_csv(path)
-        return cls(a[:, 0], a[:, 1:])
-
 
 def qdeim_place(basis, n):
     """Sensor placement from the column-pivot order of Phi^T: the first n
@@ -111,16 +100,6 @@ def observe(u, sel):
     if u.shape != (sel.n_state,):
         raise DimensionError(f"state length {u.shape} does not match N={sel.n_state}")
     return u[sel.indices].copy()
-
-
-def scatter(y, sel):
-    """S y: embed observations into a zero state vector."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (sel.n,):
-        raise DimensionError(f"observation length {y.shape} does not match n={sel.n}")
-    out = np.zeros(sel.n_state)
-    out[sel.indices] = y
-    return out
 
 
 def observe_trajectory(times, states, sel):

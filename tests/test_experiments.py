@@ -56,12 +56,23 @@ class TestPresets:
         ("linear8", "test_horizon", 1.01),
         ("linear8", "n_state", 99),
         ("linear8", "kernel_substeps", 0),
+        ("linear8", "train_ic", [1.0, 0.0, 0.8]),
+        ("lorenz96", "train_ic", [2.0] * 40),
+        ("linear8", "test_ic", [0.4, -0.7, 0.2, 0.9, 0.1, -0.3, -0.5]),
     ])
     def test_inconsistent_config_fails_at_load_naming_the_field(self, preset, field, value):
         fields = {**load_preset(preset).__dict__, field: value}
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(**fields)
         assert err.value.field == field
+
+    @pytest.mark.parametrize("key", ["n_sensor", "transient_fraction"])
+    def test_unknown_key_fails_at_load_naming_it(self, tmp_path, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**asdict(load_preset("linear8")), key: 0.25}))
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_json(path)
+        assert err.value.field == key
 
     def test_shortened_lorenz63_horizons_load(self):
         fields = load_preset("lorenz63").__dict__

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sdeim.errors import DimensionError, RankError
-from sdeim.pod import BasisMatrix, SnapshotSet, compute_pod, singular_values, truncation_error
+from sdeim.pod import BasisMatrix, compute_pod, singular_values, truncation_error
 
 
 def random_orthonormal(rng, n, m):
@@ -59,16 +59,6 @@ class TestComputePod:
         with pytest.raises(RankError, match="rank 3"):
             compute_pod(x.T if tall else x, 4)
 
-    @WIDE_AND_TALL
-    def test_snapshotset_wrapper(self, tall):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(6, 11))
-        x = x.T if tall else x
-        snap = SnapshotSet(x, source="unit test")
-        assert (snap.dim, snap.count) == x.shape
-        basis = compute_pod(snap, 2)
-        assert basis.n_modes == 2
-
     def test_graded_spectrum_tall(self):
         rng = np.random.default_rng(10)
         x, sigma = graded_tall(rng)
@@ -117,22 +107,6 @@ class TestBasisMatrix:
         sub = basis.leading(2)
         assert sub.n_modes == 2
         assert np.array_equal(sub.phi, basis.phi[:, :2])
-
-
-class TestCsvHelpers:
-    def test_snapshot_and_spectrum_round_trip(self, tmp_path):
-        from sdeim.linalg import load_matrix_csv, save_matrix_csv
-        from sdeim.pod import load_snapshots, save_singular_values
-
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=(5, 8))
-        save_matrix_csv(tmp_path / "snaps.csv", x)
-        snap = load_snapshots(tmp_path / "snaps.csv")
-        assert np.array_equal(snap.snapshots, x)
-        basis = compute_pod(snap, 3)
-        save_singular_values(tmp_path / "sv.csv", basis)
-        back = load_matrix_csv(tmp_path / "sv.csv").ravel()
-        assert np.array_equal(back, basis.singular_values)
 
 
 class TestTruncationError:

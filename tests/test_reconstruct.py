@@ -52,7 +52,8 @@ class TestVanillaDeim:
         rng = np.random.default_rng(1)
         core = make_core(rng, 9, 5, 2)
         y = rng.normal(size=2)
-        assert np.array_equal(vanilla_deim(core, y), sdeim(core, y, KernelVector.zero(core)))
+        zero = KernelVector(np.zeros(core.kernel_dim))
+        assert np.array_equal(vanilla_deim(core, y), sdeim(core, y, zero))
 
     def test_dimension_check(self):
         rng = np.random.default_rng(2)
@@ -157,12 +158,6 @@ class TestErrorReport:
             rep = error_report(core, u, z)
             assert np.sqrt(rep.total_sq) <= rep.upper_bound + 1e-8 * (1 + rep.upper_bound)
 
-    def test_csv_row_has_five_fields(self):
-        rng = np.random.default_rng(14)
-        core = make_core(rng, 9, 5, 2)
-        rep = error_report(core, rng.normal(size=9), None)
-        assert len(rep.csv_row().split(",")) == 5
-
 
 class TestPrefactorCurve:
     def test_square_value_is_inverse_norm(self):
@@ -222,6 +217,15 @@ class TestTwoStage:
         y1 = rng.normal(size=2)
         rec = two_stage_sdeim(basis, sel1, None, y1, None)
         assert np.array_equal(rec, vanilla_deim(core1, y1))
+
+    @pytest.mark.parametrize("y2", [np.array([]), np.ones(1), None], ids=["empty", "short", "none"])
+    def test_misshapen_second_batch_rejected(self, y2):
+        # a non-empty sel2 never reduces to vanilla: its samples must match it
+        rng = np.random.default_rng(25)
+        basis = BasisMatrix(random_orthonormal(rng, 10, 6))
+        sel1 = SensorSelection(10, [0, 3])
+        with pytest.raises(DimensionError, match="second observation batch"):
+            two_stage_sdeim(basis, sel1, SensorSelection(10, [7, 9]), np.ones(2), y2)
 
     def test_matches_single_stage_with_all_sensors(self):
         rng = np.random.default_rng(19)

@@ -13,7 +13,6 @@ from sdeim.sensing import (
     observe,
     observe_trajectory,
     qdeim_place,
-    scatter,
 )
 
 
@@ -35,8 +34,8 @@ class TestSensorSelection:
         sel = SensorSelection(9, [4, 0, 7])
         path = tmp_path / "sensors.csv"
         sel.to_csv(path)
-        back = SensorSelection.from_csv(path, 9)
-        assert np.array_equal(back.indices, sel.indices)
+        back = np.loadtxt(path, delimiter=",", dtype=int, ndmin=1)
+        assert np.array_equal(back, sel.indices)
 
 
 class TestQdeimPlace:
@@ -111,11 +110,6 @@ class TestObserveScatter:
         u[3] = 1.0
         assert np.array_equal(observe(u, sel), np.zeros(2))
 
-    def test_scatter_then_observe_round_trip(self):
-        sel = SensorSelection(6, [4, 1, 3])
-        y = np.array([2.0, -1.0, 0.5])
-        assert np.array_equal(observe(scatter(y, sel), sel), y)
-
     def test_observe_respects_order(self):
         sel = SensorSelection(4, [2, 0])
         u = np.array([10.0, 20.0, 30.0, 40.0])
@@ -165,9 +159,9 @@ class TestObservationSeries:
         series = ObservationSeries(t, np.arange(10.0).reshape(5, 2))
         path = tmp_path / "obs.csv"
         series.to_csv(path)
-        back = ObservationSeries.from_csv(path)
-        assert np.array_equal(back.times, series.times)
-        assert np.array_equal(back.samples, series.samples)
+        back = np.loadtxt(path, delimiter=",", ndmin=2)
+        assert np.array_equal(back[:, 0], series.times)
+        assert np.array_equal(back[:, 1:], series.samples)
 
     def test_observe_trajectory(self):
         t = 0.1 * np.arange(4)
