@@ -124,16 +124,23 @@ def post_transient_mean(errors, discard_fraction=TRANSIENT_FRACTION):
     return float(np.nanmean(errors[cut:]))
 
 
+def _check_projection(a, p):
+    """A and P as float arrays, A square and P an orthogonal projection of
+    the same shape."""
+    a = np.asarray(a, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or p.shape != a.shape:
+        raise DimensionError("need square A and P of equal shape")
+    if np.linalg.norm(p @ p - p) > 1e-10 or np.linalg.norm(p - p.T) > 1e-10:
+        raise ValueError("P is not an orthogonal projection")
+    return a, p
+
+
 def one_sided_lipschitz_linear(a, p):
     """Tight one-sided Lipschitz constant of g(u) = P A u over all of R^N:
     the largest eigenvalue of (P A + A^T P) / 2. P must be an orthogonal
     projection."""
-    a = np.asarray(a, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if a.shape[0] != a.shape[1] or p.shape != a.shape:
-        raise DimensionError("need square A and P of equal shape")
-    if np.linalg.norm(p @ p - p) > 1e-10 or np.linalg.norm(p - p.T) > 1e-10:
-        raise ValueError("P is not an orthogonal projection")
+    a, p = _check_projection(a, p)
     sym = 0.5 * (p @ a + a.T @ p)
     return float(np.linalg.eigvalsh(sym)[-1])
 
@@ -143,10 +150,7 @@ def contraction_rate_on_range(a, p):
     subspace of the assimilation error. This is the rate that governs the
     error decay; the unrestricted constant is never negative for a
     singular projection (differences in N[P] make the quotient zero)."""
-    a = np.asarray(a, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if np.linalg.norm(p @ p - p) > 1e-10 or np.linalg.norm(p - p.T) > 1e-10:
-        raise ValueError("P is not an orthogonal projection")
+    a, p = _check_projection(a, p)
     evals, evecs = np.linalg.eigh(p)
     w = evecs[:, evals > 0.5]
     if w.shape[1] == 0:

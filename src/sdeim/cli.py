@@ -5,6 +5,7 @@ functions that run_pipeline uses."""
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import linalg
@@ -27,13 +28,9 @@ def _load_config(args):
         cfg = load_preset(args.preset)
     else:
         raise SystemExit("need --config or --preset")
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.noise_std is not None:
-        cfg.noise_std = args.noise_std
-    if args.out is not None:
-        cfg.output_dir = args.out
-    return cfg
+    overrides = {"seed": args.seed, "noise_std": args.noise_std, "output_dir": args.out}
+    # replace() runs the load checks again on the overridden values
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _add_config_flags(sub):
@@ -82,10 +79,10 @@ def cmd_place(args):
 
 
 def cmd_pipeline(args):
-    cfg = _load_config(args)
     try:
+        cfg = _load_config(args)
         result = run_pipeline(cfg)
-    except Exception as exc:  # surface the failing stage
+    except Exception as exc:  # surface the failing stage, if a stage ran
         stage = getattr(exc, "stage", None)
         where = f" (stage: {stage})" if stage else ""
         raise SystemExit(f"pipeline failed: {type(exc).__name__}: {exc}{where}") from exc

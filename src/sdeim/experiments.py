@@ -13,9 +13,11 @@ coordinates; the vector field is shifted accordingly for assimilation.
 """
 
 import json
+import math
+import numbers
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +39,19 @@ from .sensing import (
 )
 
 
+# Fixed step sizes: the RK4 step of the recorded trajectories, the spin-up
+# step, and the spacing of the training snapshots.
+DT = 1e-3
+SPINUP_DT = 0.01
+SNAPSHOT_DT = 0.01
+
+
 @dataclass
 class ExperimentConfig:
     system: str
+    train_ic: list
+    test_ic: list
     params: dict = field(default_factory=dict)
-    n_state: int = 3
     n_modes: int = 3
     n_sensors: int = 1
     train_horizon: float = 200.0
@@ -51,54 +61,54 @@ class ExperimentConfig:
     noise_std: float = 0.0
     seed: int = 0
     output_dir: str = "."
-    dt: float = 1e-3
-    spinup_dt: float = 0.01
-    snapshot_dt: float = 0.01
     center: bool = False
     placement_modes: int = 0          # 0 -> use n_modes
     vanilla_modes: int = 0            # 0 -> use n_modes
     vanilla_sweep: list = field(default_factory=list)
     kernel_substeps: int = 20
-    train_ic: list = field(default_factory=list)
-    test_ic: list = field(default_factory=list)
 
     def __post_init__(self):
-        for name in ("train_horizon", "test_horizon", "obs_dt", "dt", "spinup_dt", "snapshot_dt"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(name, "must be positive")
-        if self.spinup < 0:
-            raise ConfigError("spinup", "must be nonnegative")
-        if not 1 <= self.n_sensors <= self.n_modes:
-            raise ConfigError("n_sensors", "need 1 <= n_sensors <= n_modes")
+        for name in ("train_horizon", "test_horizon", "obs_dt"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(name, "must be positive and finite")
+        for name in ("spinup", "noise_std"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(name, "must be finite and nonnegative")
+        m = self.n_modes
+        for name, low, counts in (("n_sensors", 1, [self.n_sensors]),
+                                  ("placement_modes", self.n_sensors, [self.placement_modes or m]),
+                                  ("vanilla_modes", 1, [self.vanilla_modes or m]),
+                                  ("vanilla_sweep", 1, self.vanilla_sweep)):
+            if not all(low <= k <= m for k in counts):
+                raise ConfigError(name, f"{getattr(self, name)} is not within {low}..n_modes={m}")
         if self.kernel_substeps < 1:
             raise ConfigError("kernel_substeps", "must be >= 1")
         # uniform recorded grids: each spacing or span a whole number of steps
-        for name, step in (("obs_dt", "dt"), ("snapshot_dt", "dt"),
-                           ("spinup", "spinup_dt"), ("test_horizon", "obs_dt")):
-            size = getattr(self, step)
+        for name, step, size in (("obs_dt", "DT", DT), ("spinup", "SPINUP_DT", SPINUP_DT),
+                                 ("test_horizon", "obs_dt", self.obs_dt)):
             ratio = getattr(self, name) / size
             n = round(ratio)
             if ratio > 0 and (n < 1 or abs(ratio - n) > 1e-9 * n):
                 raise ConfigError(name, f"must be a whole multiple of {step}={size}")
         dim = build_field(self).dim
-        if self.n_state != dim:
-            raise ConfigError("n_state", f"{self.n_state} is not the built field's dim {dim}")
-        # initial conditions come as a pair of dim-vectors, or not at all
-        for name, other in (("train_ic", "test_ic"), ("test_ic", "train_ic")):
+        for name in ("train_ic", "test_ic"):
             ic = getattr(self, name)
-            if ic and not getattr(self, other):
-                raise ConfigError(name, f"given without {other}; give both or neither")
-            if ic and len(ic) != dim:
+            if len(ic) != dim:
                 raise ConfigError(name, f"length {len(ic)} is not the state dim {dim}")
+            if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in ic):
+                raise ConfigError(name, "every entry must be a finite number")
 
     @classmethod
     def from_dict(cls, d):
         """The config from a dict of field values; a key that names no
-        field raises ConfigError(key)."""
+        field, or a required field left out, raises ConfigError(key)."""
         known = {f.name for f in fields(cls)}
         for key in d:
             if key not in known:
                 raise ConfigError(key, "is not a config field")
+        for f in fields(cls):
+            if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f.name, "is required")
         return cls(**d)
 
     @classmethod
@@ -127,26 +137,10 @@ def build_field(config):
     if config.system == "lorenz63":
         return lorenz63(p.get("sigma", 10.0), p.get("rho", 28.0), p.get("beta", 8.0 / 3.0))
     if config.system == "lorenz96":
-        return lorenz96(int(p.get("N", config.n_state)), p.get("F", 2.0))
+        return lorenz96(int(p.get("N", 40)), p.get("F", 2.0))
     if config.system == "linear":
         return linear_field(np.array(p["matrix"], dtype=float))
     raise ConfigError("system", f"unknown system {config.system!r}")
-
-
-def _default_ics(config, f):
-    if config.train_ic:
-        return np.array(config.train_ic, float), np.array(config.test_ic, float)
-    if config.system == "lorenz63":
-        return np.array([1.0, 1.0, 1.0]), np.array([-5.0, 4.0, 20.0])
-    if config.system == "lorenz96":
-        forcing = f.params["F"]
-        u_tr = forcing * np.ones(f.dim)
-        u_tr[f.dim // 2 - 1] += 0.01
-        u_te = forcing * np.ones(f.dim)
-        u_te[7 % f.dim] += 0.008
-        return u_tr, u_te
-    rng = np.random.default_rng(config.seed)
-    return rng.normal(size=f.dim), rng.normal(size=f.dim)
 
 
 def generate_trajectories(config):
@@ -154,14 +148,12 @@ def generate_trajectories(config):
     trajectories (training on the snapshot grid, test on the observation
     grid)."""
     f = build_field(config)
-    u_tr, u_te = _default_ics(config, f)
+    u_tr, u_te = np.array(config.train_ic, float), np.array(config.test_ic, float)
     if config.spinup > 0:
-        u_tr = advance(f, u_tr, config.spinup, config.spinup_dt)
-        u_te = advance(f, u_te, config.spinup, config.spinup_dt)
-    snap_every = max(1, int(round(config.snapshot_dt / config.dt)))
-    obs_every = max(1, int(round(config.obs_dt / config.dt)))
-    train = integrate(f, u_tr, config.train_horizon, config.dt, record_every=snap_every)
-    test = integrate(f, u_te, config.test_horizon, config.dt, record_every=obs_every)
+        u_tr = advance(f, u_tr, config.spinup, SPINUP_DT)
+        u_te = advance(f, u_te, config.spinup, SPINUP_DT)
+    train = integrate(f, u_tr, config.train_horizon, DT, record_every=round(SNAPSHOT_DT / DT))
+    test = integrate(f, u_te, config.test_horizon, DT, record_every=round(config.obs_dt / DT))
     return f, train, test
 
 

@@ -272,6 +272,10 @@ class TestOneSidedLipschitz:
         with pytest.raises(ValueError):
             one_sided_lipschitz_linear(np.eye(3), 2 * np.eye(3))
 
+    def test_restricted_rate_rejects_non_square_a(self):
+        with pytest.raises(DimensionError):
+            contraction_rate_on_range(np.ones((3, 4)), np.eye(3))
+
     def test_restricted_rate_can_be_negative(self):
         rng = np.random.default_rng(9)
         q = random_orthonormal(rng, 6, 2)

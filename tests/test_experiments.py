@@ -10,6 +10,7 @@ from sdeim import experiments, reconstruct
 from sdeim.errors import ConfigError, DivergenceError
 from sdeim.experiments import (
     ExperimentConfig,
+    config_to_json,
     generate_trajectories,
     list_presets,
     load_preset,
@@ -51,14 +52,21 @@ class TestPresets:
 
     @pytest.mark.parametrize("preset, field, value", [
         ("lorenz63", "obs_dt", 0.0125),
-        ("lorenz63", "snapshot_dt", 0.0105),
         ("lorenz63", "spinup", 100.005),
+        ("lorenz63", "spinup", float("nan")),
         ("linear8", "test_horizon", 1.01),
-        ("linear8", "n_state", 99),
+        ("linear8", "train_horizon", float("inf")),
         ("linear8", "kernel_substeps", 0),
         ("linear8", "train_ic", [1.0, 0.0, 0.8]),
-        ("lorenz96", "train_ic", [2.0] * 40),
+        ("linear8", "placement_modes", 5),   # n_modes = 4
         ("linear8", "test_ic", [0.4, -0.7, 0.2, 0.9, 0.1, -0.3, -0.5]),
+        ("linear8", "placement_modes", 1),   # n_sensors = 2
+        ("linear8", "vanilla_modes", 9),
+        ("linear8", "vanilla_sweep", [0]),
+        ("linear8", "noise_std", -1.0),
+        ("linear8", "noise_std", float("nan")),
+        ("linear8", "train_ic", ["a"] * 8),
+        ("linear8", "test_ic", [0.4, -0.7, 0.2, 0.9, 0.1, -0.3, -0.5, float("inf")]),
     ])
     def test_inconsistent_config_fails_at_load_naming_the_field(self, preset, field, value):
         fields = {**load_preset(preset).__dict__, field: value}
@@ -73,6 +81,31 @@ class TestPresets:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_json(path)
         assert err.value.field == key
+
+    @pytest.mark.parametrize("key", ["system", "train_ic", "test_ic"])
+    def test_missing_required_key_fails_at_load_naming_it(self, tmp_path, key):
+        d = asdict(load_preset("lorenz96"))
+        del d[key]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_json(path)
+        assert err.value.field == key
+
+    @pytest.mark.parametrize("preset", list_presets())
+    def test_config_json_round_trip(self, tmp_path, preset):
+        cfg = load_preset(preset)
+        config_to_json(cfg, tmp_path / "cfg.json")
+        assert ExperimentConfig.from_json(tmp_path / "cfg.json") == cfg
+
+    def test_lorenz96_ics_perturb_the_fixed_point(self):
+        cfg = load_preset("lorenz96")
+        forcing, n = cfg.params["F"], cfg.params["N"]
+        train, test = forcing * np.ones(n), forcing * np.ones(n)
+        train[n // 2 - 1] += 0.01
+        test[7] += 0.008
+        assert np.array_equal(cfg.train_ic, train)
+        assert np.array_equal(cfg.test_ic, test)
 
     def test_shortened_lorenz63_horizons_load(self):
         fields = load_preset("lorenz63").__dict__
@@ -234,9 +267,15 @@ class TestCli:
         assert summary["noise_std"] == 0.05
         assert summary["seed"] == 9
 
-    def test_config_file_flag(self, tmp_path):
-        from sdeim.experiments import config_to_json
+    def test_override_checked_before_any_stage(self, tmp_path):
+        from sdeim.cli import main
 
+        with pytest.raises(SystemExit) as info:
+            main(["pipeline", "--preset", "linear8", "--noise-std", "-1", "--out", str(tmp_path)])
+        assert info.value.code == (
+            "pipeline failed: ConfigError: noise_std: must be finite and nonnegative")
+
+    def test_config_file_flag(self, tmp_path):
         cfg = load_preset("linear8")
         cfg.output_dir = str(tmp_path)
         cfg_path = tmp_path / "cfg.json"
@@ -246,7 +285,6 @@ class TestCli:
 
     def test_pipeline_failure_names_the_exception_type(self, tmp_path, linear_cfg):
         from sdeim.cli import main
-        from sdeim.experiments import config_to_json
 
         cfg = ExperimentConfig.from_dict({
             **asdict(linear_cfg),
@@ -261,7 +299,6 @@ class TestCli:
 
     def test_pipeline_failure_names_the_stage(self, tmp_path, linear_cfg):
         from sdeim.cli import main
-        from sdeim.experiments import config_to_json
 
         cfg = ExperimentConfig.from_dict({
             **asdict(linear_cfg),
