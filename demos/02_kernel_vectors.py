@@ -35,17 +35,15 @@ u_true = basis.phi @ rng.normal(size=m)  # exactly representable state
 y = observe(u_true, sel)
 
 rec_plain = vanilla_deim(core, y)
-z_hat = optimal_kernel(core, u_true)
-rec_best = sdeim(core, y, z_hat)
+xi_hat = optimal_kernel(core, u_true)
+rec_best = sdeim(core, y, xi_hat)
 
 print(f"plain interpolation error : {np.linalg.norm(rec_plain - u_true):.3e}")
 print(f"optimal-kernel error      : {np.linalg.norm(rec_best - u_true):.3e} (exact recovery)")
 
-# error decomposition for an arbitrary kernel vector
-from sdeim import KernelVector
-
-z_arbitrary = KernelVector(rng.normal(size=core.kernel_dim))
-rep = error_report(core, u_true, z_arbitrary)
+# error decomposition for an arbitrary kernel vector, given by its coordinates
+xi_arbitrary = rng.normal(size=core.kernel_dim)
+rep = error_report(core, u_true, xi_arbitrary)
 print("\nerror decomposition with an arbitrary kernel vector:")
 print(f"  truncation part  : {np.sqrt(rep.trunc_sq):.3e}")
 print(f"  oblique part     : {np.sqrt(rep.oblique_sq):.3e}")

@@ -15,7 +15,6 @@ import numpy as np
 
 from sdeim import (
     BasisMatrix,
-    KernelVector,
     SensorSelection,
     build_deim_core,
     error_report,
@@ -31,8 +30,7 @@ for _ in range(200):
     sel = SensorSelection(12, np.sort(rng.choice(12, size=3, replace=False)))
     core = build_deim_core(basis, sel)
     u = rng.normal(size=12)
-    z = KernelVector(rng.normal(size=core.kernel_dim))
-    rep = error_report(core, u, z)
+    rep = error_report(core, u, rng.normal(size=core.kernel_dim))
     lhs = rep.total_sq
     rhs = rep.trunc_sq + rep.oblique_sq + rep.kernel_sq
     worst = max(worst, abs(lhs - rhs) / lhs)
@@ -44,13 +42,12 @@ basis = BasisMatrix(q)
 sel = SensorSelection(12, np.array([2, 5, 9]))
 core = build_deim_core(basis, sel)
 u = rng.normal(size=12)
-z_hat = optimal_kernel(core, u)
-z_rand = KernelVector(rng.normal(size=core.kernel_dim))
+xi_hat = optimal_kernel(core, u)
+xi_rand = rng.normal(size=core.kernel_dim)
 
 print("\nblending an arbitrary kernel vector toward the optimal one:")
 print(f"{'blend':>6} {'actual error':>13} {'upper bound':>12}")
 for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-    z = KernelVector((1 - lam) * z_rand.xi + lam * z_hat.xi)
-    rep = error_report(core, u, z)
+    rep = error_report(core, u, (1 - lam) * xi_rand + lam * xi_hat)
     print(f"{lam:6.2f} {np.sqrt(rep.total_sq):13.4f} {rep.upper_bound:12.4f}")
 print("at blend 1.0 only the truncation terms remain")

@@ -39,7 +39,6 @@ from .linalg import (
 from .pod import BasisMatrix, compute_pod, truncation_error
 from .reconstruct import (
     ErrorReport,
-    KernelVector,
     error_report,
     optimal_kernel,
     prefactor_curve,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .dynamics import Trajectory, rk4_drive
 from .errors import DimensionError, ObservationRangeError
+from .reconstruct import sdeim, vanilla_deim
 from .sensing import ObservationSeries
 
 # Leading share of an error series treated as the assimilation transient.
@@ -68,7 +69,8 @@ def das_deim(core, f, series, xi0=None, dt=None):
     default dt = spacing / 20. The samples are lifted to full states once
     (u~ is affine in y) and the lifted series is interpolated at stage
     times; at observation times it is the recorded sample itself, so clean
-    runs keep the interpolation property along the whole path.
+    runs keep the interpolation property along the whole path. The
+    reconstruction is sdeim of the samples and the kernel path.
     """
     spacing = series.dt
     if dt is None:
@@ -82,7 +84,7 @@ def das_deim(core, f, series, xi0=None, dt=None):
         raise DimensionError(f"xi0 length {xi0.shape} does not match kernel dim {k_dim}")
     times = series.times
     pz = core.kernel_lift
-    lifted = ObservationSeries(times, series.samples @ core.lift.T)
+    lifted = ObservationSeries(times, vanilla_deim(core, series.samples))
     if k_dim == 0:
         xi_path = np.zeros((times.size, 0))
     else:
@@ -96,7 +98,7 @@ def das_deim(core, f, series, xi0=None, dt=None):
     return AssimilationRun(
         times=times.copy(),
         xi_path=xi_path,
-        reconstruction=Trajectory(times.copy(), lifted.samples + xi_path @ pz.T),
+        reconstruction=Trajectory(times.copy(), sdeim(core, series.samples, xi_path)),
     )
 
 

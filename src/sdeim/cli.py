@@ -79,13 +79,8 @@ def cmd_place(args):
 
 
 def cmd_pipeline(args):
-    try:
-        cfg = _load_config(args)
-        result = run_pipeline(cfg)
-    except Exception as exc:  # surface the failing stage, if a stage ran
-        stage = getattr(exc, "stage", None)
-        where = f" (stage: {stage})" if stage else ""
-        raise SystemExit(f"pipeline failed: {type(exc).__name__}: {exc}{where}") from exc
+    cfg = _load_config(args)
+    result = run_pipeline(cfg)
     print(json.dumps(result.summary, indent=2, sort_keys=True))
     print(f"artifacts in {cfg.output_dir}", file=sys.stderr)
     return 0
@@ -140,7 +135,12 @@ def main(argv=None):
     prop.set_defaults(fn=cmd_properties)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as exc:  # one line, naming the failing stage if a stage ran
+        stage = getattr(exc, "stage", None)
+        where = f" (stage: {stage})" if stage else ""
+        raise SystemExit(f"{args.command} failed: {type(exc).__name__}: {exc}{where}") from exc
 
 
 if __name__ == "__main__":

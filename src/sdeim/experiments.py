@@ -27,7 +27,7 @@ from .assimilate import TRANSIENT_FRACTION, das_deim, post_transient_mean, relat
 from .dynamics import Trajectory, advance, integrate, linear_field, lorenz63, lorenz96, shifted_field
 from .errors import ConfigError
 from .pod import BasisMatrix, compute_pod, singular_values
-from .reconstruct import prefactor_curve
+from .reconstruct import prefactor_curve, vanilla_deim
 from .sensing import (
     NoiseSpec,
     ObservationSeries,
@@ -64,7 +64,6 @@ class ExperimentConfig:
     center: bool = False
     placement_modes: int = 0          # 0 -> use n_modes
     vanilla_modes: int = 0            # 0 -> use n_modes
-    vanilla_sweep: list = field(default_factory=list)
     kernel_substeps: int = 20
 
     def __post_init__(self):
@@ -74,12 +73,13 @@ class ExperimentConfig:
         for name in ("spinup", "noise_std"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(name, "must be finite and nonnegative")
-        m = self.n_modes
-        for name, low, counts in (("n_sensors", 1, [self.n_sensors]),
-                                  ("placement_modes", self.n_sensors, [self.placement_modes or m]),
-                                  ("vanilla_modes", 1, [self.vanilla_modes or m]),
-                                  ("vanilla_sweep", 1, self.vanilla_sweep)):
-            if not all(low <= k <= m for k in counts):
+        m, dim = self.n_modes, build_field(self).dim
+        if not 1 <= m <= dim:
+            raise ConfigError("n_modes", f"{m} is not within 1..dim={dim}")
+        for name, low, k in (("n_sensors", 1, self.n_sensors),
+                             ("placement_modes", self.n_sensors, self.placement_modes or m),
+                             ("vanilla_modes", 1, self.vanilla_modes or m)):
+            if not low <= k <= m:
                 raise ConfigError(name, f"{getattr(self, name)} is not within {low}..n_modes={m}")
         if self.kernel_substeps < 1:
             raise ConfigError("kernel_substeps", "must be >= 1")
@@ -90,7 +90,6 @@ class ExperimentConfig:
             n = round(ratio)
             if ratio > 0 and (n < 1 or abs(ratio - n) > 1e-9 * n):
                 raise ConfigError(name, f"must be a whole multiple of {step}={size}")
-        dim = build_field(self).dim
         for name in ("train_ic", "test_ic"):
             ic = getattr(self, name)
             if len(ic) != dim:
@@ -224,16 +223,15 @@ def run_pipeline(config, write=True):
     v_modes = config.vanilla_modes or config.n_modes
     with _stage(timings, "vanilla"):
         cores, errors_vanilla = {}, {}
-        for m_v in sorted({v_modes, *config.vanilla_sweep}):
+        for m_v in sorted({v_modes, config.n_modes}):
             cores[m_v] = build_deim_core(basis.leading(m_v), selection)
-            rec = mean + observations.samples @ cores[m_v].lift.T
+            rec = mean + vanilla_deim(cores[m_v], observations.samples)
             errors_vanilla[m_v] = relative_error_series(Trajectory(test.times, rec), test)
 
     with _stage(timings, "assimilate"):
-        # the vanilla stage's core when it has the same mode count
-        core = cores.get(config.n_modes) or build_deim_core(basis, selection)
         f_est = shifted_field(f, mean) if config.center else f
-        run = das_deim(core, f_est, observations, dt=config.obs_dt / config.kernel_substeps)
+        dt = config.obs_dt / config.kernel_substeps
+        run = das_deim(cores[config.n_modes], f_est, observations, dt=dt)
         reconstruction = Trajectory(test.times, mean + run.reconstruction.states)
         errors_das = relative_error_series(reconstruction, test)
 

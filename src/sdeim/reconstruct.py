@@ -2,9 +2,10 @@
 
 With n sensors and m modes, the least-squares coefficients solving
 min ||S^T Phi c - y||^2 form an affine family c(z) = (S^T Phi)^+ y + z
-over kernel vectors z in N[S^T Phi]. The minimum-norm member (z = 0) is
-the plain interpolation estimate; a well-chosen kernel vector removes the
-in-range error component the sensors cannot see.
+over kernel vectors z = Z xi in N[S^T Phi], passed around as their
+coordinates xi. The minimum-norm member (xi = 0) is the plain
+interpolation estimate; a well-chosen kernel vector removes the in-range
+error component the sensors cannot see.
 """
 
 from dataclasses import dataclass
@@ -15,59 +16,26 @@ from . import linalg
 from .errors import DimensionError
 from .sensing import SensorSelection, build_deim_core, check_full_rank, qdeim_place
 
-KERNEL_MEMBERSHIP_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class KernelVector:
-    """Kernel vector in coordinates: z = Z xi.
-
-    Storing the kernel coordinates xi makes membership in N[S^T Phi]
-    automatic; z itself is derived against a core's kernel matrix.
-    """
-
-    xi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
-
-    @property
-    def dim(self):
-        return int(self.xi.size)
-
-    @classmethod
-    def from_coefficients(cls, core, z):
-        """Validate membership of a raw m-vector z in N[S^T Phi]."""
-        z = np.asarray(z, dtype=float)
-        if z.shape != (core.n_modes,):
-            raise DimensionError(f"z must have length m={core.n_modes}")
-        resid = np.linalg.norm(core.s_phi @ z)
-        if resid > KERNEL_MEMBERSHIP_TOL * (1.0 + np.linalg.norm(z)):
-            raise ValueError(
-                f"z is not a kernel vector: ||S^T Phi z|| = {resid:.3e}"
-            )
-        return cls(core.kernel_matrix.T @ z)
-
-
-def _kernel_coords(core, z):
-    """Kernel coordinates xi from a KernelVector, a raw m-vector
-    (validated), or None (zero)."""
-    if z is None:
-        return np.zeros(core.kernel_dim)
-    if not isinstance(z, KernelVector):
-        z = KernelVector.from_coefficients(core, z)
-    if z.dim != core.kernel_dim:
-        raise DimensionError(
-            f"kernel coordinates of length {z.dim} against kernel of dim {core.kernel_dim}"
-        )
-    return z.xi
-
 
 def _check_obs(core, y):
+    """One observation (n,) or a block of them (K, n)."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (core.n_sensors,):
-        raise DimensionError(f"observation length {y.shape} does not match n={core.n_sensors}")
+    if y.shape[-1:] != (core.n_sensors,) or y.ndim > 2:
+        raise DimensionError(
+            f"observations of shape {y.shape} are not (n,) or (K, n) with n={core.n_sensors}"
+        )
     return y
+
+
+def _check_xi(core, xi, lead):
+    """Kernel coordinates of shape lead + (kernel_dim,); zeros for None."""
+    shape = lead + (core.kernel_dim,)
+    if xi is None:
+        return np.zeros(shape)
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != shape:
+        raise DimensionError(f"kernel coordinates of shape {xi.shape} are not {shape}")
+    return xi
 
 
 def _check_state(core, u):
@@ -80,23 +48,25 @@ def _check_state(core, u):
 
 
 def vanilla_deim(core, y):
-    """Phi (S^T Phi)^+ y: the minimum-norm interpolation estimate."""
-    return core.lift @ _check_obs(core, y)
+    """Phi (S^T Phi)^+ y: the minimum-norm interpolation estimate, of one
+    observation (n,) or row by row of a block (K, n)."""
+    return _check_obs(core, y) @ core.lift.T
 
 
-def sdeim(core, y, z):
+def sdeim(core, y, xi=None):
     """Phi ((S^T Phi)^+ y + Z xi): interpolation estimate shifted along the
-    sampled-basis kernel. Reproduces y exactly at the sensors for any
-    valid z."""
-    rec = core.lift @ _check_obs(core, y)
-    rec += core.kernel_lift @ _kernel_coords(core, z)
+    sampled-basis kernel by the coordinates xi (zero when None), one row
+    of xi per row of y. Reproduces y exactly at the sensors for any xi."""
+    y = _check_obs(core, y)
+    rec = y @ core.lift.T
+    rec += _check_xi(core, xi, y.shape[:-1]) @ core.kernel_lift.T
     return rec
 
 
 def optimal_kernel(core, u):
-    """Best kernel vector Z Z^T Phi^T u for a known full state (oracle:
-    diagnostics and tests only)."""
-    return KernelVector(core.kernel_lift.T @ _check_state(core, u))
+    """Kernel coordinates Z^T Phi^T u of the best kernel vector for a known
+    full state (oracle: diagnostics and tests only)."""
+    return core.kernel_lift.T @ _check_state(core, u)
 
 
 @dataclass(frozen=True)
@@ -115,9 +85,10 @@ class ErrorReport:
     upper_bound: float
 
 
-def error_report(core, u, z):
+def error_report(core, u, xi=None):
     """Full-state error decomposition of the reconstruction with kernel
-    vector z, plus the bound prefactor * E_m(u) + ||z - z_opt||.
+    coordinates xi, plus the bound prefactor * E_m(u) + ||z - z_opt||
+    for z = Z xi.
 
     Two passes over Phi: c = Phi^T u, then u_hat and the reconstruction
     from one product Phi [c, coef]. The oblique and kernel parts are
@@ -127,7 +98,7 @@ def error_report(core, u, z):
     u = _check_state(core, u)
     phi = core.basis.phi
     kernel = core.kernel_matrix
-    z_coef = kernel @ _kernel_coords(core, z)
+    z_coef = kernel @ _check_xi(core, xi, ())
     y = u[core.selection.indices]
     c = phi.T @ u
     coef = core.s_phi_pinv @ y + z_coef
@@ -193,4 +164,4 @@ def two_stage_sdeim(basis, sel1, sel2, y1, y2):
     c0 = core1.s_phi_pinv @ y1
     m_mat = s2_phi @ core1.kernel_matrix
     xi = linalg.pinv(m_mat) @ (y2 - s2_phi @ c0)
-    return sdeim(core1, y1, KernelVector(xi))
+    return sdeim(core1, y1, xi)

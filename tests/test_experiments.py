@@ -40,7 +40,7 @@ class TestPresets:
         cfg = load_preset("lorenz63")
         assert cfg.params == {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0}
         assert (cfg.n_sensors, cfg.n_modes) == (1, 3)
-        assert sorted(set(cfg.vanilla_sweep) | {cfg.vanilla_modes}) == [1, 3]
+        assert {cfg.vanilla_modes, cfg.n_modes} == {1, 3}  # the vanilla stage's mode counts
         assert load_preset("lorenz63_noisy").noise_std == 0.1
 
     def test_lorenz96_preset_encodes_experiment_settings(self):
@@ -62,11 +62,12 @@ class TestPresets:
         ("linear8", "test_ic", [0.4, -0.7, 0.2, 0.9, 0.1, -0.3, -0.5]),
         ("linear8", "placement_modes", 1),   # n_sensors = 2
         ("linear8", "vanilla_modes", 9),
-        ("linear8", "vanilla_sweep", [0]),
+        ("linear8", "n_modes", 9),          # dim = 8
         ("linear8", "noise_std", -1.0),
         ("linear8", "noise_std", float("nan")),
         ("linear8", "train_ic", ["a"] * 8),
         ("linear8", "test_ic", [0.4, -0.7, 0.2, 0.9, 0.1, -0.3, -0.5, float("inf")]),
+        ("linear8", "n_modes", 0),
     ])
     def test_inconsistent_config_fails_at_load_naming_the_field(self, preset, field, value):
         fields = {**load_preset(preset).__dict__, field: value}
@@ -194,15 +195,9 @@ class TestPipeline:
         assert xi_csv.shape == (times.size, 1)
         assert np.array_equal(xi_csv[:, 0], times)
 
-    @pytest.mark.parametrize("vanilla_modes, sweep, expect", [
-        (2, [1, 2, 4], [1, 2, 4]),  # n_modes = 4 shared with the vanilla sweep
-        (2, [], [2, 4]),
-    ])
-    def test_one_core_per_distinct_mode_count(self, monkeypatch, linear_cfg,
-                                              vanilla_modes, sweep, expect):
-        cfg = ExperimentConfig(**{
-            **linear_cfg.__dict__, "vanilla_modes": vanilla_modes, "vanilla_sweep": sweep,
-        })
+    @pytest.mark.parametrize("vanilla_modes, expect", [(2, [2, 4]), (4, [4])])
+    def test_one_core_per_distinct_mode_count(self, monkeypatch, linear_cfg, vanilla_modes, expect):
+        cfg = ExperimentConfig(**{**linear_cfg.__dict__, "vanilla_modes": vanilla_modes})
         calls = []
 
         def counted(basis, sel):
@@ -274,6 +269,15 @@ class TestCli:
             main(["pipeline", "--preset", "linear8", "--noise-std", "-1", "--out", str(tmp_path)])
         assert info.value.code == (
             "pipeline failed: ConfigError: noise_std: must be finite and nonnegative")
+
+    @pytest.mark.parametrize("cmd", ["generate", "pod", "place"])
+    def test_bad_config_reported_in_one_line(self, tmp_path, cmd):
+        from sdeim.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main([cmd, "--preset", "linear8", "--noise-std", "nan", "--out", str(tmp_path)])
+        assert info.value.code == (
+            f"{cmd} failed: ConfigError: noise_std: must be finite and nonnegative")
 
     def test_config_file_flag(self, tmp_path):
         cfg = load_preset("linear8")

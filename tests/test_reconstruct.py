@@ -5,7 +5,6 @@ from sdeim import reconstruct
 from sdeim.errors import AssumptionError, DimensionError
 from sdeim.pod import BasisMatrix
 from sdeim.reconstruct import (
-    KernelVector,
     error_report,
     optimal_kernel,
     prefactor_curve,
@@ -52,8 +51,7 @@ class TestVanillaDeim:
         rng = np.random.default_rng(1)
         core = make_core(rng, 9, 5, 2)
         y = rng.normal(size=2)
-        zero = KernelVector(np.zeros(core.kernel_dim))
-        assert np.array_equal(vanilla_deim(core, y), sdeim(core, y, zero))
+        assert np.array_equal(vanilla_deim(core, y), sdeim(core, y, np.zeros(core.kernel_dim)))
 
     def test_dimension_check(self):
         rng = np.random.default_rng(2)
@@ -67,8 +65,7 @@ class TestSdeim:
         rng = np.random.default_rng(3)
         core = make_core(rng, 10, 6, 2)
         y = rng.normal(size=2)
-        z = KernelVector(rng.normal(size=core.kernel_dim))
-        rec = sdeim(core, y, z)
+        rec = sdeim(core, y, rng.normal(size=core.kernel_dim))
         assert np.linalg.norm(observe(rec, core.selection) - y) < 1e-10
 
     def test_exact_for_in_range_state_with_optimal_kernel(self):
@@ -78,22 +75,42 @@ class TestSdeim:
         rec = sdeim(core, observe(u, core.selection), optimal_kernel(core, u))
         assert np.linalg.norm(rec - u) < 1e-8 * np.linalg.norm(u)
 
-    def test_rejects_non_kernel_raw_vector(self):
-        rng = np.random.default_rng(5)
-        core = make_core(rng, 10, 6, 2)
-        bad = rng.normal(size=6)
-        with pytest.raises(ValueError, match="kernel"):
-            sdeim(core, rng.normal(size=2), bad)
-
-    def test_accepts_valid_raw_vector(self):
+    def test_misshapen_observations_or_kernel_rejected(self):
         rng = np.random.default_rng(6)
         core = make_core(rng, 10, 6, 2)
-        xi = rng.normal(size=core.kernel_dim)
-        z_raw = core.kernel_matrix @ xi
-        y = rng.normal(size=2)
-        a = sdeim(core, y, z_raw)
-        b = sdeim(core, y, KernelVector(xi))
-        assert np.allclose(a, b, atol=1e-12)
+        y, xi = rng.normal(size=(5, 2)), rng.normal(size=(5, core.kernel_dim))
+        for estimate in (vanilla_deim, sdeim):
+            with pytest.raises(DimensionError):
+                estimate(core, y[None])
+        with pytest.raises(DimensionError):
+            sdeim(core, y, rng.normal(size=(6, core.kernel_dim)))
+        with pytest.raises(DimensionError):
+            sdeim(core, y, xi[0])
+        # a kernel vector z = Z xi as a raw m-vector is not its coordinates
+        z = core.kernel_matrix @ xi[0]
+        with pytest.raises(DimensionError):
+            sdeim(core, y[0], z)
+        with pytest.raises(DimensionError):
+            error_report(core, rng.normal(size=10), z)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("n_state, m, n, k", [
+        (40, 8, 3, 25), (40, 5, 1, 1), (8, 4, 2, 7), (12, 3, 3, 4),
+    ])
+    def test_rows_match_per_row_calls(self, n_state, m, n, k):
+        rng = np.random.default_rng(26)
+        core = make_core(rng, n_state, m, n)
+        y, xi = rng.normal(size=(k, n)), rng.normal(size=(k, core.kernel_dim))
+        vanilla, shifted = vanilla_deim(core, y), sdeim(core, y, xi)
+        assert vanilla.shape == shifted.shape == (k, n_state)
+        for i in range(k):
+            for block, row in ((vanilla[i], vanilla_deim(core, y[i])),
+                               (shifted[i], sdeim(core, y[i], xi[i]))):
+                assert np.linalg.norm(block - row) <= 1e-14 * np.linalg.norm(row)
+        for rec in (vanilla, shifted):
+            assert np.max(np.abs(rec[:, core.selection.indices] - y)) < 1e-10
+        assert np.array_equal(sdeim(core, y), vanilla)
 
 
 class TestOptimalKernel:
@@ -103,22 +120,22 @@ class TestOptimalKernel:
         basis = BasisMatrix(q[:, :4])
         core = build_deim_core(basis, qdeim_place(basis, 2))
         u = q[:, 5]
-        assert np.linalg.norm(optimal_kernel(core, u).xi) < 1e-12
+        assert np.linalg.norm(optimal_kernel(core, u)) < 1e-12
 
     def test_empty_when_square(self):
         rng = np.random.default_rng(8)
         core = make_core(rng, 8, 3, 3)
-        assert optimal_kernel(core, rng.normal(size=8)).xi.size == 0
+        assert optimal_kernel(core, rng.normal(size=8)).size == 0
 
     def test_matches_dense_least_squares(self):
         rng = np.random.default_rng(9)
         core = make_core(rng, 8, 5, 2)
         u = rng.normal(size=8)
-        z_hat = optimal_kernel(core, u)
+        xi_hat = optimal_kernel(core, u)
         base = core.basis.phi @ (core.s_phi_pinv @ observe(u, core.selection))
         phi_z = core.basis.phi @ core.kernel_matrix
         xi_ls, *_ = np.linalg.lstsq(phi_z, u - base, rcond=None)
-        assert np.linalg.norm(z_hat.xi - xi_ls) < 1e-10
+        assert np.linalg.norm(xi_hat - xi_ls) < 1e-10
 
 
 class TestErrorReport:
@@ -134,8 +151,7 @@ class TestErrorReport:
         for _ in range(25):
             core = make_core(rng, 10, 6, 3)
             u = rng.normal(size=10)
-            z = KernelVector(rng.normal(size=core.kernel_dim))
-            rep = error_report(core, u, z)
+            rep = error_report(core, u, rng.normal(size=core.kernel_dim))
             lhs = rep.total_sq
             rhs = rep.trunc_sq + rep.oblique_sq + rep.kernel_sq
             assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
@@ -154,8 +170,7 @@ class TestErrorReport:
         for _ in range(25):
             core = make_core(rng, 9, 5, 2)
             u = rng.normal(size=9)
-            z = KernelVector(rng.normal(size=core.kernel_dim))
-            rep = error_report(core, u, z)
+            rep = error_report(core, u, rng.normal(size=core.kernel_dim))
             assert np.sqrt(rep.total_sq) <= rep.upper_bound + 1e-8 * (1 + rep.upper_bound)
 
 
