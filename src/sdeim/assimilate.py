@@ -14,10 +14,11 @@ kernel, so noisy y(t) is never differentiated.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
-from .dynamics import Trajectory, rk4_drive
+from .dynamics import SMALL_DIM, Trajectory, rk4_drive
 from .errors import DimensionError, ObservationRangeError
 from .reconstruct import sdeim, vanilla_deim
 from .sensing import ObservationSeries
@@ -62,6 +63,47 @@ class AssimilationRun:
     reconstruction: Trajectory
 
 
+def _array_kernel_ode(rhs, lifted, pz):
+    """The kernel ODE's right-hand side on arrays, through interpolate_obs."""
+    t_end = float(lifted.times[-1])
+
+    def kernel_ode(t, xi):
+        # the last stage may overshoot t_end by rounding
+        return rhs(interpolate_obs(lifted, min(t, t_end)) + pz.dot(xi)).dot(pz)
+
+    return kernel_ode
+
+
+def _list_kernel_ode(rhs, lifted, pz):
+    """The kernel ODE's right-hand side on float lists. The stage input
+    takes interpolate_obs's bracketing index and weight; the index is
+    walked along with the stage times instead of searched. A stage past
+    the last sample time (the last one may overshoot by rounding) stops at
+    the last sample, as interpolate_obs does at the clamped time."""
+    times, rows = lifted.times.tolist(), lifted.samples.tolist()
+    pz_rows, pz_cols = pz.tolist(), pz.T.tolist()
+    last = len(times) - 1
+    j = 0
+
+    def kernel_ode(t, xi):
+        nonlocal j
+        while j < last and times[j + 1] <= t:
+            j += 1
+        while times[j] > t:
+            j -= 1
+        # u = lifted(t) + PZ xi, row by row
+        if j == last:
+            u = [a + sum(map(mul, row, xi)) for a, row in zip(rows[last], pz_rows)]
+        else:
+            lam = (t - times[j]) / (times[j + 1] - times[j])
+            u = [a + lam * (b - a) + sum(map(mul, row, xi))
+                 for a, b, row in zip(rows[j], rows[j + 1], pz_rows)]
+        r = rhs(u)
+        return [sum(map(mul, r, col)) for col in pz_cols]
+
+    return kernel_ode
+
+
 def das_deim(core, f, series, xi0=None, dt=None):
     """Assimilate an observation series by integrating the kernel ODE.
 
@@ -71,6 +113,11 @@ def das_deim(core, f, series, xi0=None, dt=None):
     times; at observation times it is the recorded sample itself, so clean
     runs keep the interpolation property along the whole path. The
     reconstruction is sdeim of the samples and the kernel path.
+
+    A field of dim <= SMALL_DIM is stepped on float lists: each stage
+    interpolates the lifted rows with interpolate_obs's arithmetic, adds
+    PZ xi, calls f.rhs on the list and projects onto PZ's columns. Larger
+    fields step on arrays through interpolate_obs itself.
     """
     spacing = series.dt
     if dt is None:
@@ -83,18 +130,16 @@ def das_deim(core, f, series, xi0=None, dt=None):
     if xi0.shape != (k_dim,):
         raise DimensionError(f"xi0 length {xi0.shape} does not match kernel dim {k_dim}")
     times = series.times
-    pz = core.kernel_lift
     lifted = ObservationSeries(times, vanilla_deim(core, series.samples))
     if k_dim == 0:
         xi_path = np.zeros((times.size, 0))
     else:
-        rhs, t_end, n_steps = f.rhs, float(times[-1]), (times.size - 1) * n_sub
-
-        def kernel_ode(t, xi):
-            # the last stage may overshoot t_end by rounding
-            return rhs(interpolate_obs(lifted, min(t, t_end)) + pz.dot(xi)).dot(pz)
-
-        _, xi_path = rk4_drive(kernel_ode, xi0, spacing / n_sub, n_steps, n_sub, times[0])
+        if core.dim <= SMALL_DIM:
+            kernel_ode, xi0 = _list_kernel_ode(f.rhs, lifted, core.kernel_lift), xi0.tolist()
+        else:
+            kernel_ode = _array_kernel_ode(f.rhs, lifted, core.kernel_lift)
+        n_steps = (times.size - 1) * n_sub
+        _, xi_path = rk4_drive(kernel_ode, xi0, spacing / n_sub, n_steps, n_sub, float(times[0]))
     return AssimilationRun(
         times=times.copy(),
         xi_path=xi_path,

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from sdeim import assimilate
 from sdeim.assimilate import (
     contraction_rate_on_range,
     das_deim,
@@ -12,7 +15,9 @@ from sdeim.assimilate import (
 )
 from sdeim.dynamics import (
     DIVERGENCE_LIMIT,
+    SMALL_DIM,
     Trajectory,
+    VectorField,
     integrate,
     linear_field,
     lorenz63,
@@ -20,6 +25,7 @@ from sdeim.dynamics import (
 )
 from sdeim.errors import DimensionError, DivergenceError, ObservationRangeError
 from sdeim.pod import BasisMatrix, compute_pod
+from sdeim.reconstruct import vanilla_deim
 from sdeim.sensing import ObservationSeries, SensorSelection, build_deim_core, observe, qdeim_place
 
 
@@ -60,17 +66,31 @@ def reference_kernel_path(core, f, series, xi0, n_sub):
     return out
 
 
-def lorenz63_assimilation_case():
-    """A centred Lorenz63 basis with m = 3 modes and n = 1 sensor, as in
-    the lorenz63 preset, over one time unit of observations."""
+def lorenz63_assimilation_case(centred=True):
+    """A Lorenz63 basis with m = 3 modes and n = 1 sensor, as in the
+    lorenz63 preset, over one time unit of observations; centred (the
+    preset's setting, on the shifted field) or on the raw states."""
     f = lorenz63()
     train = integrate(f, np.array([1.0, 1.0, 1.0]), 20.0, 1e-2)
-    mean = train.states.mean(axis=0)
+    mean = train.states.mean(axis=0) if centred else np.zeros(3)
     basis = compute_pod((train.states - mean).T, 3)
     core = build_deim_core(basis, qdeim_place(basis.leading(1), 1))
     test = integrate(f, np.array([-5.0, 4.0, 20.0]), 1.0, 1e-3, record_every=10)
     series = ObservationSeries(test.times, (test.states - mean)[:, core.selection.indices])
-    return core, shifted_field(f, mean), series
+    return core, shifted_field(f, mean) if centred else f, series
+
+
+@pytest.fixture
+def interpolate_calls(monkeypatch):
+    """The times at which das_deim calls assimilate.interpolate_obs."""
+    calls = []
+
+    def counted(series, t):
+        calls.append(t)
+        return interpolate_obs(series, t)
+
+    monkeypatch.setattr(assimilate, "interpolate_obs", counted)
+    return calls
 
 
 class TestInterpolateObs:
@@ -150,8 +170,6 @@ class TestDasDeim:
     def test_square_core_reduces_to_vanilla_pointwise(self):
         # m == n: empty kernel; the run must equal the plain estimate
         # sample by sample
-        from sdeim.reconstruct import vanilla_deim
-
         f = lorenz63()
         traj = integrate(f, np.array([1.0, 2.0, 3.0]), 1.0, 1e-3, record_every=100)
         basis = BasisMatrix(np.eye(3))
@@ -186,15 +204,20 @@ class TestDasDeim:
         assert run.xi_path.shape == (11, 2)
         assert np.array_equal(run.times, times)
 
-    @pytest.mark.parametrize("system", ["linear", "lorenz63"])
+    @pytest.mark.parametrize("system", ["linear", "lorenz63", "lorenz63-uncentred", "linear-large"])
     def test_xi_path_matches_reference_rk4_over_kernel_rhs(self, system):
         rng = np.random.default_rng(11)
         if system == "linear":
             core = make_core(rng, 6, 4, 2)
             f = linear_field(-np.eye(6) + 0.3 * rng.normal(size=(6, 6)))
             series = ObservationSeries(0.05 * np.arange(21), rng.normal(size=(21, 2)))
+        elif system == "linear-large":
+            # above SMALL_DIM: the array path
+            core = make_core(rng, 12, 5, 2)
+            f = linear_field(-np.eye(12) + 0.3 * rng.normal(size=(12, 12)))
+            series = ObservationSeries(0.05 * np.arange(21), rng.normal(size=(21, 2)))
         else:
-            core, f, series = lorenz63_assimilation_case()
+            core, f, series = lorenz63_assimilation_case(centred=system == "lorenz63")
         xi0 = rng.normal(size=core.kernel_dim)
         n_sub = 8
         run = das_deim(core, f, series, xi0=xi0, dt=series.dt / n_sub)
@@ -210,6 +233,69 @@ class TestDasDeim:
         xi0 = np.ones(core.kernel_dim)
         path = reference_kernel_path(core, f, series, xi0, 10)
         assert np.max(np.abs(path[-1][1])) > DIVERGENCE_LIMIT
+        with pytest.raises(DivergenceError) as err:
+            das_deim(core, f, series, xi0=xi0, dt=0.01)
+        assert err.value.t_last == pytest.approx(path[-2][0], abs=1e-12)
+
+    @pytest.mark.parametrize("n_state, m, n, float_path", [(3, 3, 1, True), (SMALL_DIM, 4, 2, True),
+                                                            (SMALL_DIM + 1, 4, 2, False), (40, 3, 1, False)])
+    def test_float_path_chosen_by_field_dimension(self, interpolate_calls, n_state, m, n, float_path):
+        rng = np.random.default_rng(13)
+        core = make_core(rng, n_state, m, n)
+        f = linear_field(-np.eye(n_state) + 0.3 * rng.normal(size=(n_state, n_state)))
+        series = ObservationSeries(0.05 * np.arange(11), rng.normal(size=(11, n)))
+        run = das_deim(core, f, series, dt=0.05 / 4)
+        assert len(interpolate_calls) == (0 if float_path else 4 * 4 * 10)
+        ref = np.array([xi for _, xi in reference_kernel_path(core, f, series, np.zeros(m - n), 4)[::4]])
+        assert np.linalg.norm(run.xi_path - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_lorenz63_core_takes_the_float_path(self, interpolate_calls):
+        core, f, series = lorenz63_assimilation_case()
+        run = das_deim(core, f, series, dt=series.dt / 20)
+        assert interpolate_calls == []
+        assert np.all(np.isfinite(run.xi_path))
+
+    def test_float_stage_inputs_are_interpolate_obs_values(self):
+        # every stage time: the walked index, the clamp at t_end and the
+        # weight give interpolate_obs's own bits
+        core, f, series = lorenz63_assimilation_case()
+        lifted = ObservationSeries(series.times, vanilla_deim(core, series.samples))
+        seen = []
+
+        def record(u):
+            seen.append(u)
+            return f.rhs(u)
+
+        xi = [0.0] * core.kernel_dim
+        ode = assimilate._list_kernel_ode(record, lifted, np.zeros_like(core.kernel_lift))
+        h = series.dt / 20
+        stage_times = [series.times[0] + k * h + c for k in range(20 * (series.times.size - 1))
+                       for c in (0.0, 0.5 * h, 0.5 * h, h)]
+        # forwards as the driver calls it, then backwards, past the end
+        stage_times += [series.times[-1] + 1e-12, *stage_times[::-1]]
+        for t in stage_times:
+            ode(t, xi)
+        for t, u in zip(stage_times, seen):
+            assert u == interpolate_obs(lifted, min(t, series.times[-1])).tolist()
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_nan_in_any_state_component_stops_the_float_path(self, i):
+        # u' = 50 u: xi' = 50 xi; component i of the field turns NaN once
+        # a component of u passes 10
+        def rhs(u):
+            is_list = type(u) is list
+            u = u if is_list else u.tolist()
+            big = max(map(abs, u)) > 10.0
+            du = [math.nan if k == i and big else 50.0 * v for k, v in enumerate(u)]
+            return du if is_list else np.array(du)
+
+        rng = np.random.default_rng(14)
+        core = make_core(rng, 3, 3, 1)
+        f = VectorField(dim=3, rhs=rhs)
+        series = ObservationSeries(0.1 + 0.1 * np.arange(11), np.zeros((11, 1)))
+        xi0 = np.ones(core.kernel_dim)
+        path = reference_kernel_path(core, f, series, xi0, 10)
+        assert np.isnan(path[-1][1]).any()
         with pytest.raises(DivergenceError) as err:
             das_deim(core, f, series, xi0=xi0, dt=0.01)
         assert err.value.t_last == pytest.approx(path[-2][0], abs=1e-12)

@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -8,16 +9,42 @@ import scipy.linalg
 import sdeim
 from sdeim.dynamics import (
     DIVERGENCE_LIMIT,
+    SMALL_DIM,
     Trajectory,
+    VectorField,
     advance,
     integrate,
     linear_field,
     lorenz63,
     lorenz96,
+    rk4_drive,
     rk4_step,
     shifted_field,
 )
 from sdeim.errors import DimensionError, DivergenceError
+from sdeim.experiments import build_field, load_preset
+
+
+def goes_bad_at_one(i, bad):
+    """u' = (1, 1, 1), except that component i's rate is `bad` once
+    u_i >= 1: a Lorenz63-sized field, list-in list-out and array-in
+    array-out, whose state goes bad in component i only."""
+
+    def rhs(u):
+        is_list = type(u) is list
+        du = [bad if k == i and v >= 1.0 else 1.0 for k, v in enumerate(u if is_list else u.tolist())]
+        return du if is_list else np.array(du)
+
+    return VectorField(dim=3, rhs=rhs)
+
+
+def last_good_step_time(f, u0, dt):
+    """The time of the last rk4_step whose state has every component
+    finite and within DIVERGENCE_LIMIT."""
+    u, k = np.asarray(u0, dtype=float), 0
+    while np.all(np.abs(u) <= DIVERGENCE_LIMIT):
+        u, k = rk4_step(f, u, dt), k + 1
+    return (k - 1) * dt
 
 
 class TestLorenz63:
@@ -141,6 +168,17 @@ class TestIntegrate:
                 run(f, np.array([1.0]), 10.0, dt)
             assert err.value.t_last == pytest.approx((k - 1) * dt, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e12])
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_divergence_guard_in_every_component(self, i, bad):
+        # max(map(abs, x)) would skip a NaN in component 1 or 2
+        f, dt = goes_bad_at_one(i, bad), 0.1
+        t_last = last_good_step_time(f, np.zeros(3), dt)
+        for run in (integrate, advance):
+            with pytest.raises(DivergenceError) as err:
+                run(f, np.zeros(3), 10.0, dt)
+            assert err.value.t_last == pytest.approx(t_last, abs=1e-12)
+
     def test_stage_order_matches_rk4_step_bit_for_bit(self):
         f = lorenz63()
         u = np.array([1.0, 1.0, 1.0])
@@ -162,6 +200,87 @@ class TestIntegrate:
         end_a = advance(f, u0, 2.0, 1e-3)
         end_b = integrate(f, u0, 2.0, 1e-3, record_every=2000).states[-1]
         assert np.array_equal(end_a, end_b)
+
+
+class TestStartChecks:
+    @pytest.mark.parametrize("span, dt", [(-1.0, 0.01), (1.0, -0.01), (1.0, 0.0),
+                                          (1.0, math.nan), (math.nan, 0.01), (math.inf, 0.01)])
+    def test_advance_rejects_bad_span_or_step(self, span, dt):
+        with pytest.raises(ValueError):
+            advance(lorenz63(), np.ones(3), span, dt)
+
+    @pytest.mark.parametrize("dt", [-0.01, 0.0, math.nan])
+    def test_integrate_rejects_bad_step(self, dt):
+        with pytest.raises(ValueError):
+            integrate(lorenz63(), np.ones(3), 1.0, dt)
+
+    @pytest.mark.parametrize("run", [integrate, advance])
+    @pytest.mark.parametrize("u0", [np.ones(4), np.ones(2), np.ones((3, 1)), 1.0],
+                             ids=["4-vector", "2-vector", "column", "scalar"])
+    def test_misshapen_state_rejected(self, run, u0):
+        with pytest.raises(DimensionError):
+            run(lorenz63(), u0, 1.0, 0.01)
+
+    def test_advance_by_zero_returns_the_state(self):
+        u0 = np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(advance(lorenz63(), u0, 0.0, 0.01), u0)
+
+
+def _drive_both(f, u0, n_steps, dt=1e-3, record_every=1):
+    """rk4_drive over f from u0 on arrays, then on float lists."""
+
+    def rhs(t, x):
+        return f.rhs(x)
+
+    u0 = np.asarray(u0, dtype=float)
+    return [rk4_drive(rhs, x0, dt, n_steps, record_every) for x0 in (u0, u0.tolist())]
+
+
+class TestKernelSets:
+    def test_lorenz63_list_and_array_paths_bitwise_equal(self):
+        (t_a, x_a), (t_l, x_l) = _drive_both(lorenz63(), [1.0, 1.0, 1.0], 20000)
+        assert np.array_equal(t_a, t_l)
+        assert np.array_equal(x_a, x_l)
+        assert np.ptp(x_a[:, 0]) > 10.0  # the run left the start and crossed lobes
+
+    def test_shifted_lorenz63_list_and_array_paths_bitwise_equal(self):
+        g = shifted_field(lorenz63(), [-0.3, 0.7, 23.5])
+        (t_a, x_a), (t_l, x_l) = _drive_both(g, [1.0, 1.0, -22.0], 20000, record_every=7)
+        assert np.array_equal(t_a, t_l)
+        assert np.array_equal(x_a, x_l)
+
+    @pytest.mark.parametrize("f", [linear_field(np.random.default_rng(3).normal(size=(SMALL_DIM, SMALL_DIM))),
+                                   lorenz96(SMALL_DIM, 8.0)], ids=["linear", "lorenz96"])
+    def test_round_trip_fields_list_and_array_paths_bitwise_equal(self, f):
+        u0 = np.linspace(-1.0, 2.0, f.dim)
+        rhs_list = f.rhs(u0.tolist())
+        assert type(rhs_list) is list and rhs_list == f.rhs(u0).tolist()
+        (t_a, x_a), (t_l, x_l) = _drive_both(f, u0, 5000)
+        assert np.array_equal(t_a, t_l)
+        assert np.array_equal(x_a, x_l)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2 * DIVERGENCE_LIMIT])
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_both_paths_stop_at_the_same_step(self, i, bad):
+        f = goes_bad_at_one(i, bad)
+        errs = []
+        for x0 in (np.zeros(3), [0.0, 0.0, 0.0]):
+            with pytest.raises(DivergenceError) as err:
+                rk4_drive(lambda t, x: f.rhs(x), x0, 0.1, 100)
+            errs.append(err.value.t_last)
+        assert errs[0] == errs[1] == pytest.approx(last_good_step_time(f, np.zeros(3), 0.1), abs=1e-12)
+
+    def test_linear8_preset_steps_on_arrays(self):
+        # Python row sums round differently from BLAS; linear8's artifacts
+        # keep the array path's bits
+        assert build_field(load_preset("linear8")).dim > SMALL_DIM
+
+    def test_small_fields_return_lists_for_lists(self):
+        u = [1.0, -2.0, 3.0]
+        for f in (lorenz63(), shifted_field(lorenz63(), [1.0, 2.0, 3.0]), linear_field(np.eye(3))):
+            out = f.rhs(u)
+            assert type(out) is list and all(type(v) is float for v in out)
+            assert out == f.rhs(np.array(u)).tolist()
 
 
 class TestTrajectory:

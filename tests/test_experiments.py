@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sdeim import experiments, reconstruct
+from sdeim.dynamics import VectorField
 from sdeim.errors import ConfigError, DivergenceError
 from sdeim.experiments import (
     ExperimentConfig,
@@ -178,6 +179,29 @@ class TestPipeline:
         bytes_a = (tmp_path / "a" / "summary.json").read_bytes()
         bytes_b = (tmp_path / "b" / "summary.json").read_bytes()
         assert bytes_a == bytes_b
+
+    def test_pass_through_rhs_keeps_lorenz63_summary_bytes(self, tmp_path, monkeypatch):
+        # a call counter that wraps f.rhs (as a tracer does) must keep the
+        # float-list path, so the traced run writes the same summary
+        short = {**load_preset("lorenz63").__dict__, "spinup": 2.0, "train_horizon": 5.0,
+                 "test_horizon": 2.0}
+        run_pipeline(ExperimentConfig(**{**short, "output_dir": str(tmp_path / "plain")}))
+        build, seen = experiments.build_field, []
+
+        def counted_field(config):
+            f = build(config)
+
+            def counted(u):
+                seen.append(type(u))
+                return f.rhs(u)
+
+            return VectorField(dim=f.dim, rhs=counted, params=f.params)
+
+        monkeypatch.setattr(experiments, "build_field", counted_field)
+        run_pipeline(ExperimentConfig(**{**short, "output_dir": str(tmp_path / "wrapped")}))
+        assert seen and set(seen) == {list}
+        plain, wrapped = ((tmp_path / d / "summary.json").read_bytes() for d in ("plain", "wrapped"))
+        assert wrapped == plain
 
     def test_no_kernel_pipeline_is_vanilla_deim(self, tmp_path, linear_cfg):
         # n = m: DAS-DEIM has an empty kernel and reduces to the vanilla estimate
