@@ -13,12 +13,14 @@ the minimizer because the range of (S^T Phi)^+ is orthogonal to the
 kernel, so noisy y(t) is never differentiated.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import SMALL_DIM, Trajectory, rk4_drive
+from .dynamics import Trajectory, drive_field
 from .errors import DimensionError, ObservationRangeError
 from .reconstruct import sdeim, vanilla_deim
 from .sensing import ObservationSeries
@@ -27,20 +29,31 @@ from .sensing import ObservationSeries
 TRANSIENT_FRACTION = 0.25
 
 
+class _FloatSeries(NamedTuple):
+    """An observation series held as float lists (das_deim's float path)."""
+
+    times: list
+    samples: list
+
+
 def interpolate_obs(series, t):
     """Piecewise-linear interpolation of the samples; exact at sample
-    points, no extrapolation."""
-    times = series.times
+    points, no extrapolation. A series of float lists gives a list, with
+    the same bracketing index, weight and bits as the arrays give."""
+    times, samples = series.times, series.samples
     if t < times[0] or t > times[-1]:
         raise ObservationRangeError(
             f"t={t} outside observation window [{times[0]}, {times[-1]}]"
         )
-    j = times.searchsorted(t, side="right") - 1
-    if j >= times.size - 1:
-        return series.samples[-1].copy()
+    on_lists = type(times) is list
+    j = (bisect_right(times, t) if on_lists else times.searchsorted(t, side="right")) - 1
+    if j >= len(times) - 1:
+        return samples[-1].copy()
     lam = (t - times[j]) / (times[j + 1] - times[j])
-    y0 = series.samples[j]
-    return y0 + lam * (series.samples[j + 1] - y0)
+    y0, y1 = samples[j], samples[j + 1]
+    if on_lists:
+        return [a + lam * (b - a) for a, b in zip(y0, y1)]
+    return y0 + lam * (y1 - y0)
 
 
 def kernel_rhs(core, f, series, t, xi):
@@ -63,42 +76,24 @@ class AssimilationRun:
     reconstruction: Trajectory
 
 
-def _array_kernel_ode(rhs, lifted, pz):
-    """The kernel ODE's right-hand side on arrays, through interpolate_obs."""
+def _kernel_ode(rhs, lifted, pz, on_lists):
+    """The kernel ODE's right-hand side: the lifted series interpolated at
+    the stage time (the last stage may overshoot the last sample time by
+    rounding, so it is clamped there), plus PZ xi, through rhs and
+    projected onto PZ's columns. On float lists the two products are
+    Python sums over PZ's rows and columns."""
     t_end = float(lifted.times[-1])
+    if not on_lists:
+        def kernel_ode(t, xi):
+            return rhs(interpolate_obs(lifted, min(t, t_end)) + pz.dot(xi)).dot(pz)
 
-    def kernel_ode(t, xi):
-        # the last stage may overshoot t_end by rounding
-        return rhs(interpolate_obs(lifted, min(t, t_end)) + pz.dot(xi)).dot(pz)
-
-    return kernel_ode
-
-
-def _list_kernel_ode(rhs, lifted, pz):
-    """The kernel ODE's right-hand side on float lists. The stage input
-    takes interpolate_obs's bracketing index and weight; the index is
-    walked along with the stage times instead of searched. A stage past
-    the last sample time (the last one may overshoot by rounding) stops at
-    the last sample, as interpolate_obs does at the clamped time."""
-    times, rows = lifted.times.tolist(), lifted.samples.tolist()
+        return kernel_ode
+    lifted = _FloatSeries(lifted.times.tolist(), lifted.samples.tolist())
     pz_rows, pz_cols = pz.tolist(), pz.T.tolist()
-    last = len(times) - 1
-    j = 0
 
     def kernel_ode(t, xi):
-        nonlocal j
-        while j < last and times[j + 1] <= t:
-            j += 1
-        while times[j] > t:
-            j -= 1
-        # u = lifted(t) + PZ xi, row by row
-        if j == last:
-            u = [a + sum(map(mul, row, xi)) for a, row in zip(rows[last], pz_rows)]
-        else:
-            lam = (t - times[j]) / (times[j + 1] - times[j])
-            u = [a + lam * (b - a) + sum(map(mul, row, xi))
-                 for a, b, row in zip(rows[j], rows[j + 1], pz_rows)]
-        r = rhs(u)
+        u = interpolate_obs(lifted, min(t, t_end))
+        r = rhs([a + sum(map(mul, row, xi)) for a, row in zip(u, pz_rows)])
         return [sum(map(mul, r, col)) for col in pz_cols]
 
     return kernel_ode
@@ -114,10 +109,11 @@ def das_deim(core, f, series, xi0=None, dt=None):
     runs keep the interpolation property along the whole path. The
     reconstruction is sdeim of the samples and the kernel path.
 
-    A field of dim <= SMALL_DIM is stepped on float lists: each stage
-    interpolates the lifted rows with interpolate_obs's arithmetic, adds
-    PZ xi, calls f.rhs on the list and projects onto PZ's columns. Larger
-    fields step on arrays through interpolate_obs itself.
+    The kernel path is stepped by dynamics.drive_field, which picks float
+    lists or arrays by the field's dim (core.dim). Every stage calls
+    interpolate_obs on the lifted series, held as float lists on the
+    float path, so both paths take the same stage inputs; they differ only
+    in how the PZ products round (~1e-16 relative in xi).
     """
     spacing = series.dt
     if dt is None:
@@ -134,12 +130,13 @@ def das_deim(core, f, series, xi0=None, dt=None):
     if k_dim == 0:
         xi_path = np.zeros((times.size, 0))
     else:
-        if core.dim <= SMALL_DIM:
-            kernel_ode, xi0 = _list_kernel_ode(f.rhs, lifted, core.kernel_lift), xi0.tolist()
-        else:
-            kernel_ode = _array_kernel_ode(f.rhs, lifted, core.kernel_lift)
         n_steps = (times.size - 1) * n_sub
-        _, xi_path = rk4_drive(kernel_ode, xi0, spacing / n_sub, n_steps, n_sub, float(times[0]))
+
+        def make_ode(on_lists):
+            return _kernel_ode(f.rhs, lifted, core.kernel_lift, on_lists)
+
+        _, xi_path = drive_field(core.dim, make_ode, xi0, spacing / n_sub, n_steps, n_sub,
+                                 float(times[0]))
     return AssimilationRun(
         times=times.copy(),
         xi_path=xi_path,

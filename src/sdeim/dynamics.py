@@ -10,21 +10,24 @@ from .errors import DimensionError, DivergenceError
 
 DIVERGENCE_LIMIT = 1e8
 
-# States of at most this many components step on Python float lists, above
-# it on numpy arrays (integrate and advance; das_deim decides by the
-# field's dim). Measured per RK4 step on a 2-core VM (Python 3.11, numpy
-# 2.4): lorenz63 takes 6.4 us on lists against 17.5 us on arrays. Fields
-# whose rhs round-trips through numpy gain less as dim grows: lorenz96
-# 24 against 31 us at dim 6, about even at 8 to 10, 33 against 29 us at 12.
-# Dim 8 stays on arrays, so linear8's das_deim keeps its BLAS rounding.
+# Fields of at most this many components are stepped on Python float lists
+# first, larger ones on numpy arrays (drive_field; das_deim decides by the
+# field's dim, not the kernel's). Measured per RK4 step on a 2-core VM
+# (Python 3.11, numpy 2.4): lorenz63 takes 6.4 us on lists against 17.5 us
+# on arrays; at dim 40 lists lose (66 against 43 us), and an rhs that
+# round-trips a list through numpy breaks even near dim 8 (lorenz96 24
+# against 31 us at dim 6, 33 against 29 us at 12). Dim 8 stays on arrays,
+# so linear8's das_deim keeps its BLAS rounding. These are hand timings:
+# the benchmark's l63 workload is dim 3 and none steps a larger field.
 SMALL_DIM = 6
 
 
 @dataclass(frozen=True)
 class VectorField:
-    """Autonomous ODE right-hand side u' = rhs(u) on R^dim. A field whose
-    dim can be <= SMALL_DIM returns a list of floats when rhs is given a
-    list, and an array when given an array."""
+    """Autonomous ODE right-hand side u' = rhs(u) on R^dim; rhs takes and
+    returns arrays. A field of dim <= SMALL_DIM is first stepped on float
+    lists (see drive_field): an rhs that also takes a list and returns a
+    list of floats runs there, one that cannot is stepped on arrays."""
 
     dim: int
     rhs: Callable[[np.ndarray], np.ndarray]
@@ -58,18 +61,6 @@ class Trajectory:
         linalg.save_matrix_csv(path, np.column_stack([self.times, self.states]))
 
 
-def _lists_through_arrays(rhs):
-    """An array rhs that also takes a list state, evaluated on its array
-    and returned as a list, so both give the same bits."""
-
-    def either(u):
-        if type(u) is list:
-            return rhs(np.array(u)).tolist()
-        return rhs(u)
-
-    return either
-
-
 def lorenz63(sigma=10.0, rho=28.0, beta=8.0 / 3.0):
     """Classic three-variable convection model:
     u1' = sigma (u2 - u1), u2' = u1 (rho - u3) - u2, u3' = u1 u2 - beta u3.
@@ -99,7 +90,6 @@ def lorenz96(n_sites=40, forcing=2.0):
     im1 = np.roll(np.arange(n_sites), 1)
     im2 = np.roll(np.arange(n_sites), 2)
 
-    @_lists_through_arrays
     def rhs(u):
         return (u[ip1] - u[im2]) * u[im1] - u + forcing
 
@@ -112,9 +102,6 @@ def linear_field(a):
     if a.shape[0] != a.shape[1]:
         raise DimensionError("linear field needs a square matrix")
 
-    # a list state takes the same BLAS product as an array one: Python row
-    # sums would round differently
-    @_lists_through_arrays
     def rhs(u):
         return a @ u
 
@@ -168,12 +155,12 @@ def _array_bounded(x):
 
 
 def _list_axpy(x, a, k):
-    return [xi + a * ki for xi, ki in zip(x, k)]
+    return [xi + a * ki for xi, ki in zip(x, k, strict=True)]
 
 
 def _list_combine(x, sixth, k1, k2, k3, k4):
     return [xi + (((a + 2.0 * b) + 2.0 * c) + d) * sixth
-            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+            for xi, a, b, c, d in zip(x, k1, k2, k3, k4, strict=True)]
 
 
 def _list_bounded(x):
@@ -215,9 +202,29 @@ def rk4_drive(rhs, x0, h, n_steps, record_every=1, t0=0.0):
     return t0 + h * np.array(steps), states
 
 
+# What array code raises when handed a list (-u, u.dot, u[index_array]),
+# and what the list kernels' strict zips raise for a list result of the
+# wrong length (u + u concatenates lists).
+_NOT_ON_LISTS = (TypeError, AttributeError, ValueError)
+
+
+def drive_field(dim, make_rhs, x0, h, n_steps, record_every=1, t0=0.0):
+    """rk4_drive for a field of the given dim from the array x0, with the
+    step rhs make_rhs(on_lists). At dim <= SMALL_DIM it first steps on
+    float lists; if that raises what array code raises on a list, the run
+    is repeated on arrays, so an rhs written for arrays only gives the
+    array path's result. Larger fields step on arrays."""
+    if dim <= SMALL_DIM:
+        try:
+            return rk4_drive(make_rhs(True), x0.tolist(), h, n_steps, record_every, t0)
+        except _NOT_ON_LISTS:
+            pass
+    return rk4_drive(make_rhs(False), x0, h, n_steps, record_every, t0)
+
+
 def _start(f, u0, span, dt):
-    """The initial state for rk4_drive (a list when f.dim <= SMALL_DIM) and
-    the number of steps of size dt in span."""
+    """u0 as an array of shape (f.dim,) and the number of steps of size dt
+    in span."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if not 0 <= span < np.inf:
@@ -225,7 +232,16 @@ def _start(f, u0, span, dt):
     u = np.asarray(u0, dtype=float)
     if u.shape != (f.dim,):
         raise DimensionError(f"initial state length {u.shape} does not match dim {f.dim}")
-    return (u.tolist() if f.dim <= SMALL_DIM else u), int(round(span / dt))
+    return u, int(round(span / dt))
+
+
+def _field_rhs(f):
+    """drive_field's make_rhs for stepping f itself: f.rhs on either path."""
+
+    def rhs(t, x):
+        return f.rhs(x)
+
+    return lambda on_lists: rhs
 
 
 def integrate(f, u0, t_end, dt, record_every=1):
@@ -240,10 +256,10 @@ def integrate(f, u0, t_end, dt, record_every=1):
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     u, n_steps = _start(f, u0, t_end, dt)
-    return Trajectory(*rk4_drive(lambda t, x: f.rhs(x), u, dt, n_steps, record_every))
+    return Trajectory(*drive_field(f.dim, _field_rhs(f), u, dt, n_steps, record_every))
 
 
 def advance(f, u0, t_span, dt):
     """Endpoint state only (spin-up helper; nothing recorded)."""
     u, n_steps = _start(f, u0, t_span, dt)
-    return rk4_drive(lambda t, x: f.rhs(x), u, dt, n_steps, max(n_steps, 1))[1][-1]
+    return drive_field(f.dim, _field_rhs(f), u, dt, n_steps, max(n_steps, 1))[1][-1]

@@ -82,11 +82,12 @@ def lorenz63_assimilation_case(centred=True):
 
 @pytest.fixture
 def interpolate_calls(monkeypatch):
-    """The times at which das_deim calls assimilate.interpolate_obs."""
+    """das_deim's calls of assimilate.interpolate_obs: for each, whether
+    the series was held as float lists (the float path)."""
     calls = []
 
     def counted(series, t):
-        calls.append(t)
+        calls.append(type(series.times) is list)
         return interpolate_obs(series, t)
 
     monkeypatch.setattr(assimilate, "interpolate_obs", counted)
@@ -245,38 +246,47 @@ class TestDasDeim:
         f = linear_field(-np.eye(n_state) + 0.3 * rng.normal(size=(n_state, n_state)))
         series = ObservationSeries(0.05 * np.arange(11), rng.normal(size=(11, n)))
         run = das_deim(core, f, series, dt=0.05 / 4)
-        assert len(interpolate_calls) == (0 if float_path else 4 * 4 * 10)
+        # one call a stage on either path: 4 stages x 4 substeps x 10 intervals
+        assert interpolate_calls == [float_path] * (4 * 4 * 10)
         ref = np.array([xi for _, xi in reference_kernel_path(core, f, series, np.zeros(m - n), 4)[::4]])
         assert np.linalg.norm(run.xi_path - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_lorenz63_core_takes_the_float_path(self, interpolate_calls):
         core, f, series = lorenz63_assimilation_case()
         run = das_deim(core, f, series, dt=series.dt / 20)
-        assert interpolate_calls == []
+        assert interpolate_calls == [True] * (4 * 20 * (series.times.size - 1))
         assert np.all(np.isfinite(run.xi_path))
 
-    def test_float_stage_inputs_are_interpolate_obs_values(self):
-        # every stage time: the walked index, the clamp at t_end and the
-        # weight give interpolate_obs's own bits
+    def test_array_only_small_field_takes_the_array_path(self, interpolate_calls):
+        # the lorenz63 case's shifted field behind an rhs written for arrays
+        # only (a list + 0.0 raises): the float path fails at its first
+        # stage and the run repeats on arrays
+        core, f, series = lorenz63_assimilation_case()
+        g = VectorField(dim=3, rhs=lambda u: f.rhs(u + 0.0))
+        xi0 = np.ones(core.kernel_dim)
+        n_sub = 8
+        run = das_deim(core, g, series, xi0=xi0, dt=series.dt / n_sub)
+        n_stages = 4 * n_sub * (series.times.size - 1)
+        assert interpolate_calls == [True] + [False] * n_stages
+        ref = np.array([xi for _, xi in reference_kernel_path(core, f, series, xi0, n_sub)[::n_sub]])
+        assert np.linalg.norm(run.xi_path - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_float_series_interpolates_as_arrays_do(self):
+        # at every stage time, past the end and backwards, a series held as
+        # float lists gives the array series' bracketing index, weight and bits
         core, f, series = lorenz63_assimilation_case()
         lifted = ObservationSeries(series.times, vanilla_deim(core, series.samples))
-        seen = []
-
-        def record(u):
-            seen.append(u)
-            return f.rhs(u)
-
-        xi = [0.0] * core.kernel_dim
-        ode = assimilate._list_kernel_ode(record, lifted, np.zeros_like(core.kernel_lift))
+        floats = assimilate._FloatSeries(lifted.times.tolist(), lifted.samples.tolist())
         h = series.dt / 20
         stage_times = [series.times[0] + k * h + c for k in range(20 * (series.times.size - 1))
                        for c in (0.0, 0.5 * h, 0.5 * h, h)]
-        # forwards as the driver calls it, then backwards, past the end
         stage_times += [series.times[-1] + 1e-12, *stage_times[::-1]]
         for t in stage_times:
-            ode(t, xi)
-        for t, u in zip(stage_times, seen):
-            assert u == interpolate_obs(lifted, min(t, series.times[-1])).tolist()
+            t = min(t, series.times[-1])
+            u = interpolate_obs(floats, t)
+            assert type(u) is list and u == interpolate_obs(lifted, t).tolist()
+        with pytest.raises(ObservationRangeError):
+            interpolate_obs(floats, series.times[-1] + 1e-12)
 
     @pytest.mark.parametrize("i", [0, 1, 2])
     def test_nan_in_any_state_component_stops_the_float_path(self, i):

@@ -249,15 +249,34 @@ class TestKernelSets:
         assert np.array_equal(t_a, t_l)
         assert np.array_equal(x_a, x_l)
 
-    @pytest.mark.parametrize("f", [linear_field(np.random.default_rng(3).normal(size=(SMALL_DIM, SMALL_DIM))),
-                                   lorenz96(SMALL_DIM, 8.0)], ids=["linear", "lorenz96"])
-    def test_round_trip_fields_list_and_array_paths_bitwise_equal(self, f):
+    @pytest.mark.parametrize("f", [
+        linear_field(np.random.default_rng(3).normal(size=(SMALL_DIM, SMALL_DIM))),
+        lorenz96(SMALL_DIM, 8.0),
+        VectorField(dim=2, rhs=lambda u: -u),
+        VectorField(dim=2, rhs=lambda u: u + u),
+        VectorField(dim=3, rhs=lambda u: np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -0.5]]).dot(u)),
+    ], ids=["linear", "lorenz96", "negate", "concatenate", "dot"])
+    def test_small_array_fields_give_the_array_path_bits(self, f):
+        # linear_field's a @ u also takes a list; the others are array code
+        # that raises on a list (u[index_array], -u, u.dot) or, with u + u
+        # concatenating lists, would be silently wrong without the strict zips
         u0 = np.linspace(-1.0, 2.0, f.dim)
-        rhs_list = f.rhs(u0.tolist())
-        assert type(rhs_list) is list and rhs_list == f.rhs(u0).tolist()
-        (t_a, x_a), (t_l, x_l) = _drive_both(f, u0, 5000)
-        assert np.array_equal(t_a, t_l)
-        assert np.array_equal(x_a, x_l)
+        t_a, x_a = rk4_drive(lambda t, x: f.rhs(x), u0, 1e-3, 2000)
+        traj = integrate(f, u0, 2.0, 1e-3)
+        assert np.array_equal(traj.times, t_a)
+        assert np.array_equal(traj.states, x_a)
+        assert np.array_equal(advance(f, u0, 2.0, 1e-3), x_a[-1])
+
+    def test_fallback_repeats_a_list_run_that_fails_midway(self):
+        # the rhs takes lists until u_0 passes 1, then only arrays
+        def rhs(u):
+            if type(u) is list and u[0] > 1.0:
+                raise TypeError("arrays only from here")
+            return np.ones(2) if type(u) is not list else [1.0, 1.0]
+
+        f = VectorField(dim=2, rhs=rhs)
+        traj = integrate(f, np.zeros(2), 2.0, 0.1)
+        assert np.allclose(traj.states[-1], [2.0, 2.0], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2 * DIVERGENCE_LIMIT])
     @pytest.mark.parametrize("i", [0, 1, 2])
@@ -277,7 +296,7 @@ class TestKernelSets:
 
     def test_small_fields_return_lists_for_lists(self):
         u = [1.0, -2.0, 3.0]
-        for f in (lorenz63(), shifted_field(lorenz63(), [1.0, 2.0, 3.0]), linear_field(np.eye(3))):
+        for f in (lorenz63(), shifted_field(lorenz63(), [1.0, 2.0, 3.0])):
             out = f.rhs(u)
             assert type(out) is list and all(type(v) is float for v in out)
             assert out == f.rhs(np.array(u)).tolist()
