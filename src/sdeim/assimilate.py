@@ -20,13 +20,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import Trajectory, drive_field
+from .dynamics import Trajectory, _list_result, drive_field
 from .errors import DimensionError, ObservationRangeError
 from .reconstruct import sdeim, vanilla_deim
 from .sensing import ObservationSeries
 
 # Leading share of an error series treated as the assimilation transient.
 TRANSIENT_FRACTION = 0.25
+
+# RK4 substeps per observation interval in das_deim's default step.
+KERNEL_SUBSTEPS = 20
 
 
 class _FloatSeries(NamedTuple):
@@ -41,7 +44,7 @@ def interpolate_obs(series, t):
     points, no extrapolation. A series of float lists gives a list, with
     the same bracketing index, weight and bits as the arrays give."""
     times, samples = series.times, series.samples
-    if t < times[0] or t > times[-1]:
+    if not times[0] <= t <= times[-1]:
         raise ObservationRangeError(
             f"t={t} outside observation window [{times[0]}, {times[-1]}]"
         )
@@ -57,7 +60,9 @@ def interpolate_obs(series, t):
 
 
 def kernel_rhs(core, f, series, t, xi):
-    """Kernel ODE right-hand side Z^T Phi^T f(u~(xi)) at time t."""
+    """Kernel ODE right-hand side Z^T Phi^T f(u~(xi)) at time t: the
+    pointwise reference that tests check das_deim's own right-hand side
+    (_kernel_ode, one per kernel set) and a brute-force minimizer against."""
     if core.kernel_dim == 0:
         raise DimensionError("kernel ODE needs m > n (nonempty kernel)")
     xi = np.asarray(xi, dtype=float)
@@ -93,7 +98,7 @@ def _kernel_ode(rhs, lifted, pz, on_lists):
 
     def kernel_ode(t, xi):
         u = interpolate_obs(lifted, min(t, t_end))
-        r = rhs([a + sum(map(mul, row, xi)) for a, row in zip(u, pz_rows)])
+        r = _list_result(rhs([a + sum(map(mul, row, xi)) for a, row in zip(u, pz_rows)]))
         return [sum(map(mul, r, col)) for col in pz_cols]
 
     return kernel_ode
@@ -103,21 +108,21 @@ def das_deim(core, f, series, xi0=None, dt=None):
     """Assimilate an observation series by integrating the kernel ODE.
 
     Fixed-step RK4 with step dt (must divide the observation spacing);
-    default dt = spacing / 20. The samples are lifted to full states once
-    (u~ is affine in y) and the lifted series is interpolated at stage
-    times; at observation times it is the recorded sample itself, so clean
-    runs keep the interpolation property along the whole path. The
-    reconstruction is sdeim of the samples and the kernel path.
+    default dt = spacing / KERNEL_SUBSTEPS. The samples are lifted to full
+    states once (u~ is affine in y) and the lifted series is interpolated
+    at stage times; at observation times it is the recorded sample itself,
+    so clean runs keep the interpolation property along the whole path.
+    The reconstruction is sdeim of the samples and the kernel path.
 
-    The kernel path is stepped by dynamics.drive_field, which picks float
-    lists or arrays by the field's dim (core.dim). Every stage calls
+    The kernel path is stepped by dynamics.drive_field: on float lists if
+    f.rhs maps a list to a list, otherwise on arrays. Every stage calls
     interpolate_obs on the lifted series, held as float lists on the
     float path, so both paths take the same stage inputs; they differ only
     in how the PZ products round (~1e-16 relative in xi).
     """
     spacing = series.dt
     if dt is None:
-        dt = spacing / 20.0
+        dt = spacing / KERNEL_SUBSTEPS
     n_sub = int(round(spacing / dt))
     if n_sub < 1 or abs(n_sub * dt - spacing) > 1e-9 * spacing:
         raise ValueError(f"dt={dt} does not divide the observation spacing {spacing}")
@@ -135,8 +140,7 @@ def das_deim(core, f, series, xi0=None, dt=None):
         def make_ode(on_lists):
             return _kernel_ode(f.rhs, lifted, core.kernel_lift, on_lists)
 
-        _, xi_path = drive_field(core.dim, make_ode, xi0, spacing / n_sub, n_steps, n_sub,
-                                 float(times[0]))
+        _, xi_path = drive_field(make_ode, xi0, spacing / n_sub, n_steps, n_sub, float(times[0]))
     return AssimilationRun(
         times=times.copy(),
         xi_path=xi_path,

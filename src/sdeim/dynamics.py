@@ -10,24 +10,13 @@ from .errors import DimensionError, DivergenceError
 
 DIVERGENCE_LIMIT = 1e8
 
-# Fields of at most this many components are stepped on Python float lists
-# first, larger ones on numpy arrays (drive_field; das_deim decides by the
-# field's dim, not the kernel's). Measured per RK4 step on a 2-core VM
-# (Python 3.11, numpy 2.4): lorenz63 takes 6.4 us on lists against 17.5 us
-# on arrays; at dim 40 lists lose (66 against 43 us), and an rhs that
-# round-trips a list through numpy breaks even near dim 8 (lorenz96 24
-# against 31 us at dim 6, 33 against 29 us at 12). Dim 8 stays on arrays,
-# so linear8's das_deim keeps its BLAS rounding. These are hand timings:
-# the benchmark's l63 workload is dim 3 and none steps a larger field.
-SMALL_DIM = 6
-
 
 @dataclass(frozen=True)
 class VectorField:
     """Autonomous ODE right-hand side u' = rhs(u) on R^dim; rhs takes and
-    returns arrays. A field of dim <= SMALL_DIM is first stepped on float
-    lists (see drive_field): an rhs that also takes a list and returns a
-    list of floats runs there, one that cannot is stepped on arrays."""
+    returns arrays. Every field is first stepped on float lists (see
+    drive_field): an rhs that also maps a list to a list of floats runs
+    there, any other is stepped on arrays."""
 
     dim: int
     rhs: Callable[[np.ndarray], np.ndarray]
@@ -46,7 +35,7 @@ class Trajectory:
         x = np.atleast_2d(np.asarray(self.states, dtype=float))
         if x.shape[0] != t.size:
             raise DimensionError("times and states length mismatch")
-        if t.size > 1 and np.any(np.diff(t) <= 0):
+        if not np.all(np.diff(t) > 0):
             raise DimensionError("times must be strictly increasing")
         if not np.all(np.isfinite(x)):
             raise DimensionError("states contain non-finite entries")
@@ -203,22 +192,27 @@ def rk4_drive(rhs, x0, h, n_steps, record_every=1, t0=0.0):
 
 
 # What array code raises when handed a list (-u, u.dot, u[index_array]),
-# and what the list kernels' strict zips raise for a list result of the
-# wrong length (u + u concatenates lists).
+# what the list kernels' strict zips raise for a list of the wrong length
+# (u + u), and what _list_result raises for a result that is no list (a @ u).
 _NOT_ON_LISTS = (TypeError, AttributeError, ValueError)
 
 
-def drive_field(dim, make_rhs, x0, h, n_steps, record_every=1, t0=0.0):
-    """rk4_drive for a field of the given dim from the array x0, with the
-    step rhs make_rhs(on_lists). At dim <= SMALL_DIM it first steps on
-    float lists; if that raises what array code raises on a list, the run
-    is repeated on arrays, so an rhs written for arrays only gives the
-    array path's result. Larger fields step on arrays."""
-    if dim <= SMALL_DIM:
-        try:
-            return rk4_drive(make_rhs(True), x0.tolist(), h, n_steps, record_every, t0)
-        except _NOT_ON_LISTS:
-            pass
+def _list_result(r):
+    """r, the value of an rhs handed a list, if it is a list, else TypeError."""
+    if type(r) is not list:
+        raise TypeError(f"rhs mapped a list to {type(r).__name__}")
+    return r
+
+
+def drive_field(make_rhs, x0, h, n_steps, record_every=1, t0=0.0):
+    """rk4_drive from the array x0 with the step rhs make_rhs(on_lists):
+    first on float lists, and if that raises what array code raises on a
+    list (or _list_result raises), again on arrays, so an rhs that does
+    not map a list to a list gives the array path's result."""
+    try:
+        return rk4_drive(make_rhs(True), x0.tolist(), h, n_steps, record_every, t0)
+    except _NOT_ON_LISTS:
+        pass
     return rk4_drive(make_rhs(False), x0, h, n_steps, record_every, t0)
 
 
@@ -238,10 +232,13 @@ def _start(f, u0, span, dt):
 def _field_rhs(f):
     """drive_field's make_rhs for stepping f itself: f.rhs on either path."""
 
-    def rhs(t, x):
+    def on_arrays(t, x):
         return f.rhs(x)
 
-    return lambda on_lists: rhs
+    def on_lists(t, x):
+        return _list_result(f.rhs(x))
+
+    return lambda lists: on_lists if lists else on_arrays
 
 
 def integrate(f, u0, t_end, dt, record_every=1):
@@ -256,10 +253,10 @@ def integrate(f, u0, t_end, dt, record_every=1):
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     u, n_steps = _start(f, u0, t_end, dt)
-    return Trajectory(*drive_field(f.dim, _field_rhs(f), u, dt, n_steps, record_every))
+    return Trajectory(*drive_field(_field_rhs(f), u, dt, n_steps, record_every))
 
 
 def advance(f, u0, t_span, dt):
     """Endpoint state only (spin-up helper; nothing recorded)."""
     u, n_steps = _start(f, u0, t_span, dt)
-    return drive_field(f.dim, _field_rhs(f), u, dt, n_steps, max(n_steps, 1))[1][-1]
+    return drive_field(_field_rhs(f), u, dt, n_steps, max(n_steps, 1))[1][-1]

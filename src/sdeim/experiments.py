@@ -19,11 +19,13 @@ import time
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from . import linalg
-from .assimilate import TRANSIENT_FRACTION, das_deim, post_transient_mean, relative_error_series
+from .assimilate import (KERNEL_SUBSTEPS, TRANSIENT_FRACTION, das_deim, post_transient_mean,
+                         relative_error_series)
 from .dynamics import Trajectory, advance, integrate, linear_field, lorenz63, lorenz96, shifted_field
 from .errors import ConfigError
 from .pod import BasisMatrix, compute_pod, singular_values
@@ -64,7 +66,7 @@ class ExperimentConfig:
     center: bool = False
     placement_modes: int = 0          # 0 -> use n_modes
     vanilla_modes: int = 0            # 0 -> use n_modes
-    kernel_substeps: int = 20
+    kernel_substeps: ClassVar[int] = KERNEL_SUBSTEPS
 
     def __post_init__(self):
         for name in ("train_horizon", "test_horizon", "obs_dt"):
@@ -81,8 +83,6 @@ class ExperimentConfig:
                              ("vanilla_modes", 1, self.vanilla_modes or m)):
             if not low <= k <= m:
                 raise ConfigError(name, f"{getattr(self, name)} is not within {low}..n_modes={m}")
-        if self.kernel_substeps < 1:
-            raise ConfigError("kernel_substeps", "must be >= 1")
         # uniform recorded grids: each spacing or span a whole number of steps
         for name, step, size in (("obs_dt", "DT", DT), ("spinup", "SPINUP_DT", SPINUP_DT),
                                  ("test_horizon", "obs_dt", self.obs_dt)):
@@ -230,8 +230,7 @@ def run_pipeline(config, write=True):
 
     with _stage(timings, "assimilate"):
         f_est = shifted_field(f, mean) if config.center else f
-        dt = config.obs_dt / config.kernel_substeps
-        run = das_deim(cores[config.n_modes], f_est, observations, dt=dt)
+        run = das_deim(cores[config.n_modes], f_est, observations)
         reconstruction = Trajectory(test.times, mean + run.reconstruction.states)
         errors_das = relative_error_series(reconstruction, test)
 

@@ -67,7 +67,7 @@ class ObservationSeries:
         if t.size < 2:
             raise DimensionError("need at least two samples")
         gaps = np.diff(t)
-        if np.any(gaps <= 0):
+        if not np.all(gaps > 0):
             raise DimensionError("times must be strictly increasing")
         if gaps.max() - gaps.min() > UNIFORM_SPACING_TOL * max(1.0, abs(t[-1])):
             raise DimensionError("observation spacing must be uniform")

@@ -1,4 +1,5 @@
 import math
+from operator import mul
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from sdeim.assimilate import (
 )
 from sdeim.dynamics import (
     DIVERGENCE_LIMIT,
-    SMALL_DIM,
     Trajectory,
     VectorField,
     integrate,
@@ -113,10 +113,10 @@ class TestInterpolateObs:
 
     def test_no_extrapolation(self):
         series = self._series()
-        with pytest.raises(ObservationRangeError):
-            interpolate_obs(series, -0.1)
-        with pytest.raises(ObservationRangeError):
-            interpolate_obs(series, 2.1)
+        floats = assimilate._FloatSeries(series.times.tolist(), series.samples.tolist())
+        for s, t in [(s, t) for s in (series, floats) for t in (-0.1, 2.1, math.nan)]:
+            with pytest.raises(ObservationRangeError):
+                interpolate_obs(s, t)
 
 
 class TestKernelRhs:
@@ -213,7 +213,6 @@ class TestDasDeim:
             f = linear_field(-np.eye(6) + 0.3 * rng.normal(size=(6, 6)))
             series = ObservationSeries(0.05 * np.arange(21), rng.normal(size=(21, 2)))
         elif system == "linear-large":
-            # above SMALL_DIM: the array path
             core = make_core(rng, 12, 5, 2)
             f = linear_field(-np.eye(12) + 0.3 * rng.normal(size=(12, 12)))
             series = ObservationSeries(0.05 * np.arange(21), rng.normal(size=(21, 2)))
@@ -238,16 +237,27 @@ class TestDasDeim:
             das_deim(core, f, series, xi0=xi0, dt=0.01)
         assert err.value.t_last == pytest.approx(path[-2][0], abs=1e-12)
 
-    @pytest.mark.parametrize("n_state, m, n, float_path", [(3, 3, 1, True), (SMALL_DIM, 4, 2, True),
-                                                            (SMALL_DIM + 1, 4, 2, False), (40, 3, 1, False)])
-    def test_float_path_chosen_by_field_dimension(self, interpolate_calls, n_state, m, n, float_path):
+    @pytest.mark.parametrize("n_state, m, n", [(3, 3, 1), (6, 4, 2), (7, 4, 2), (40, 3, 1)])
+    @pytest.mark.parametrize("list_rhs", [True, False], ids=["list-rhs", "linear_field"])
+    def test_float_path_chosen_by_rhs_result_type(self, interpolate_calls, n_state, m, n, list_rhs):
         rng = np.random.default_rng(13)
         core = make_core(rng, n_state, m, n)
-        f = linear_field(-np.eye(n_state) + 0.3 * rng.normal(size=(n_state, n_state)))
+        a = -np.eye(n_state) + 0.3 * rng.normal(size=(n_state, n_state))
+        f = linear_field(a)
+        if list_rhs:
+            rows = a.tolist()
+
+            def rhs(u):  # the same field, mapping a list to a list of row sums
+                return [sum(map(mul, row, u)) for row in rows] if type(u) is list else a @ u
+
+            f = VectorField(dim=n_state, rhs=rhs)
         series = ObservationSeries(0.05 * np.arange(11), rng.normal(size=(11, n)))
         run = das_deim(core, f, series, dt=0.05 / 4)
-        # one call a stage on either path: 4 stages x 4 substeps x 10 intervals
-        assert interpolate_calls == [float_path] * (4 * 4 * 10)
+        # one call a stage: 4 stages x 4 substeps x 10 intervals, on lists
+        # throughout, or after one list stage (a @ u maps a list to an
+        # array) on arrays, at any dim
+        n_stages = 4 * 4 * 10
+        assert interpolate_calls == ([True] * n_stages if list_rhs else [True] + [False] * n_stages)
         ref = np.array([xi for _, xi in reference_kernel_path(core, f, series, np.zeros(m - n), 4)[::4]])
         assert np.linalg.norm(run.xi_path - ref) <= 1e-12 * np.linalg.norm(ref)
 

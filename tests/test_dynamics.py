@@ -9,7 +9,6 @@ import scipy.linalg
 import sdeim
 from sdeim.dynamics import (
     DIVERGENCE_LIMIT,
-    SMALL_DIM,
     Trajectory,
     VectorField,
     advance,
@@ -250,15 +249,15 @@ class TestKernelSets:
         assert np.array_equal(x_a, x_l)
 
     @pytest.mark.parametrize("f", [
-        linear_field(np.random.default_rng(3).normal(size=(SMALL_DIM, SMALL_DIM))),
-        lorenz96(SMALL_DIM, 8.0),
+        linear_field(np.random.default_rng(3).normal(size=(6, 6))),
+        lorenz96(6, 8.0),
         VectorField(dim=2, rhs=lambda u: -u),
         VectorField(dim=2, rhs=lambda u: u + u),
         VectorField(dim=3, rhs=lambda u: np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -0.5]]).dot(u)),
     ], ids=["linear", "lorenz96", "negate", "concatenate", "dot"])
     def test_small_array_fields_give_the_array_path_bits(self, f):
-        # linear_field's a @ u also takes a list; the others are array code
-        # that raises on a list (u[index_array], -u, u.dot) or, with u + u
+        # linear_field's a @ u maps a list to an array; the others are array
+        # code that raises on a list (u[index_array], -u, u.dot) or, with u + u
         # concatenating lists, would be silently wrong without the strict zips
         u0 = np.linspace(-1.0, 2.0, f.dim)
         t_a, x_a = rk4_drive(lambda t, x: f.rhs(x), u0, 1e-3, 2000)
@@ -289,10 +288,21 @@ class TestKernelSets:
             errs.append(err.value.t_last)
         assert errs[0] == errs[1] == pytest.approx(last_good_step_time(f, np.zeros(3), 0.1), abs=1e-12)
 
-    def test_linear8_preset_steps_on_arrays(self):
-        # Python row sums round differently from BLAS; linear8's artifacts
-        # keep the array path's bits
-        assert build_field(load_preset("linear8")).dim > SMALL_DIM
+    @pytest.mark.parametrize("f", [
+        linear_field(np.random.default_rng(4).normal(size=(3, 3))),
+        build_field(load_preset("linear8")),
+    ], ids=["linear3", "linear8"])
+    def test_linear_field_steps_on_arrays_after_one_list_stage(self, f):
+        # a @ u maps a list to an array, so the list run stops at its first
+        # stage and every stage of the rerun gets an array, at any dim
+        seen = []
+
+        def rhs(u):
+            seen.append(type(u))
+            return f.rhs(u)
+
+        integrate(VectorField(dim=f.dim, rhs=rhs), np.ones(f.dim), 0.01, 1e-3)
+        assert seen == [list] + [np.ndarray] * (4 * 10)
 
     def test_small_fields_return_lists_for_lists(self):
         u = [1.0, -2.0, 3.0]
@@ -314,5 +324,6 @@ class TestTrajectory:
         assert np.array_equal(back[:, 1:], x)
 
     def test_rejects_decreasing_times(self):
-        with pytest.raises(DimensionError):
-            Trajectory(np.array([0.0, 0.2, 0.1]), np.zeros((3, 1)))
+        for times in ([0.0, 0.2, 0.1], [0.0, math.nan, 0.2]):
+            with pytest.raises(DimensionError):
+                Trajectory(np.array(times), np.zeros((3, 1)))

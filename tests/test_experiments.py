@@ -57,7 +57,6 @@ class TestPresets:
         ("lorenz63", "spinup", float("nan")),
         ("linear8", "test_horizon", 1.01),
         ("linear8", "train_horizon", float("inf")),
-        ("linear8", "kernel_substeps", 0),
         ("linear8", "train_ic", [1.0, 0.0, 0.8]),
         ("linear8", "placement_modes", 5),   # n_modes = 4
         ("linear8", "test_ic", [0.4, -0.7, 0.2, 0.9, 0.1, -0.3, -0.5]),
@@ -76,7 +75,7 @@ class TestPresets:
             ExperimentConfig(**fields)
         assert err.value.field == field
 
-    @pytest.mark.parametrize("key", ["n_sensor", "transient_fraction"])
+    @pytest.mark.parametrize("key", ["n_sensor", "transient_fraction", "kernel_substeps"])
     def test_unknown_key_fails_at_load_naming_it(self, tmp_path, key):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**asdict(load_preset("linear8")), key: 0.25}))

@@ -154,6 +154,13 @@ class TestObservationSeries:
         with pytest.raises(DimensionError):
             ObservationSeries(np.array([0.0, 0.1, 0.3]), np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_rejects_a_nan_time(self, i):
+        times = 0.1 * np.arange(3)
+        times[i] = np.nan
+        with pytest.raises(DimensionError):
+            ObservationSeries(times, np.zeros((3, 1)))
+
     def test_csv_round_trip(self, tmp_path):
         t = 0.2 * np.arange(5)
         series = ObservationSeries(t, np.arange(10.0).reshape(5, 2))

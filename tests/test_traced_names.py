@@ -1,9 +1,10 @@
 """Every name the benchmark's tracer wraps still resolves on sdeim.
 
 perfbench/tracing.py looks its functions up by name on each traced pass,
-and its own tests are not part of this suite, so a deletion here would
-otherwise break traced benchmark runs unseen. The tracer module is only
-loaded and read, never installed.
+so a deletion here breaks traced benchmark runs. perfbench/tests, also
+in this suite, runs a traced pass too, but stops at the first missing
+name with an AttributeError; this test lists every missing name. The
+tracer module is only loaded and read, never installed.
 """
 
 import importlib
