@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import Trajectory, _list_result, drive_field
 from .errors import DimensionError, ObservationRangeError
-from .reconstruct import sdeim, vanilla_deim
+from .reconstruct import _check_xi, sdeim, vanilla_deim
 from .sensing import ObservationSeries
 
 # Leading share of an error series treated as the assimilation transient.
@@ -65,9 +65,7 @@ def kernel_rhs(core, f, series, t, xi):
     (_kernel_ode, one per kernel set) and a brute-force minimizer against."""
     if core.kernel_dim == 0:
         raise DimensionError("kernel ODE needs m > n (nonempty kernel)")
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (core.kernel_dim,):
-        raise DimensionError(f"xi length {xi.shape} does not match kernel dim {core.kernel_dim}")
+    xi = _check_xi(core, xi, ())
     pz = core.kernel_lift
     return f.rhs(core.lift.dot(interpolate_obs(series, t)) + pz.dot(xi)).dot(pz)
 
@@ -126,13 +124,10 @@ def das_deim(core, f, series, xi0=None, dt=None):
     n_sub = int(round(spacing / dt))
     if n_sub < 1 or abs(n_sub * dt - spacing) > 1e-9 * spacing:
         raise ValueError(f"dt={dt} does not divide the observation spacing {spacing}")
-    k_dim = core.kernel_dim
-    xi0 = np.zeros(k_dim) if xi0 is None else np.asarray(xi0, dtype=float)
-    if xi0.shape != (k_dim,):
-        raise DimensionError(f"xi0 length {xi0.shape} does not match kernel dim {k_dim}")
+    xi0 = _check_xi(core, xi0, ())
     times = series.times
     lifted = ObservationSeries(times, vanilla_deim(core, series.samples))
-    if k_dim == 0:
+    if core.kernel_dim == 0:
         xi_path = np.zeros((times.size, 0))
     else:
         n_steps = (times.size - 1) * n_sub
@@ -164,12 +159,15 @@ def relative_error_series(rec, truth):
     return out
 
 
-def post_transient_mean(errors, discard_fraction=TRANSIENT_FRACTION):
-    """Mean over the tail of the series, skipping the leading transient
-    (and NaN-flagged samples)."""
+def post_transient(errors):
+    """The series past its leading transient: the first TRANSIENT_FRACTION is cut."""
     errors = np.asarray(errors, dtype=float)
-    cut = int(len(errors) * discard_fraction)
-    return float(np.nanmean(errors[cut:]))
+    return errors[int(len(errors) * TRANSIENT_FRACTION):]
+
+
+def post_transient_mean(errors):
+    """Mean over the post-transient tail, skipping NaN-flagged samples."""
+    return float(np.nanmean(post_transient(errors)))
 
 
 def _check_projection(a, p):

@@ -1,5 +1,6 @@
 """Vector fields and fixed-step time integration."""
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,18 +26,14 @@ class VectorField:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded solution: times (K,) strictly increasing, states (K, dim)."""
+    """Recorded solution: times (K,) finite, strictly increasing; states (K, dim)."""
 
     times: np.ndarray
     states: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
         x = np.atleast_2d(np.asarray(self.states, dtype=float))
-        if x.shape[0] != t.size:
-            raise DimensionError("times and states length mismatch")
-        if not np.all(np.diff(t) > 0):
-            raise DimensionError("times must be strictly increasing")
+        t = linalg._as_times(self.times, x.shape[0])
         if not np.all(np.isfinite(x)):
             raise DimensionError("states contain non-finite entries")
         object.__setattr__(self, "times", t)
@@ -70,31 +67,29 @@ def lorenz63(sigma=10.0, rho=28.0, beta=8.0 / 3.0):
     return VectorField(dim=3, rhs=rhs, params={"sigma": sigma, "rho": rho, "beta": beta})
 
 
-def lorenz96(n_sites=40, forcing=2.0):
+def lorenz96(N=40, F=2.0):
     """Cyclic lattice model u_i' = (u_{i+1} - u_{i-2}) u_{i-1} - u_i + F
-    with periodic index wrapping; needs at least 4 sites."""
-    if n_sites < 4:
-        raise DimensionError("lorenz96 needs n_sites >= 4")
-    ip1 = np.roll(np.arange(n_sites), -1)
-    im1 = np.roll(np.arange(n_sites), 1)
-    im2 = np.roll(np.arange(n_sites), 2)
+    with periodic index wrapping on N sites; N must be an integer >= 4."""
+    if not isinstance(N, numbers.Integral) or N < 4:
+        raise DimensionError(f"lorenz96 needs an integer N >= 4, got {N!r}")
+    ip1, im1, im2 = (np.roll(np.arange(N), k) for k in (-1, 1, 2))
 
     def rhs(u):
-        return (u[ip1] - u[im2]) * u[im1] - u + forcing
+        return (u[ip1] - u[im2]) * u[im1] - u + F
 
-    return VectorField(dim=n_sites, rhs=rhs, params={"N": n_sites, "F": forcing})
+    return VectorField(dim=N, rhs=rhs, params={"N": N, "F": F})
 
 
-def linear_field(a):
+def linear_field(matrix):
     """u' = A u for a square matrix A."""
-    a = linalg._as_matrix(a, "linear field matrix")
+    a = linalg._as_matrix(matrix, "linear field matrix")
     if a.shape[0] != a.shape[1]:
         raise DimensionError("linear field needs a square matrix")
 
     def rhs(u):
         return a @ u
 
-    return VectorField(dim=a.shape[0], rhs=rhs, params={"a": a})
+    return VectorField(dim=a.shape[0], rhs=rhs, params={"matrix": a})
 
 
 def shifted_field(f, offset):

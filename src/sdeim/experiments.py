@@ -24,7 +24,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import linalg
-from .assimilate import (KERNEL_SUBSTEPS, TRANSIENT_FRACTION, das_deim, post_transient_mean,
+from .assimilate import (KERNEL_SUBSTEPS, das_deim, post_transient, post_transient_mean,
                          relative_error_series)
 from .dynamics import Trajectory, advance, integrate, linear_field, lorenz63, lorenz96, shifted_field
 from .errors import ConfigError
@@ -46,6 +46,12 @@ from .sensing import (
 DT = 1e-3
 SPINUP_DT = 0.01
 SNAPSHOT_DT = 0.01
+
+FIELDS = {"lorenz63": lorenz63, "lorenz96": lorenz96, "linear": linear_field}
+
+
+def _finite_number(v):
+    return isinstance(v, numbers.Real) and math.isfinite(v)
 
 
 @dataclass
@@ -94,7 +100,7 @@ class ExperimentConfig:
             ic = getattr(self, name)
             if len(ic) != dim:
                 raise ConfigError(name, f"length {len(ic)} is not the state dim {dim}")
-            if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in ic):
+            if not all(map(_finite_number, ic)):
                 raise ConfigError(name, "every entry must be a finite number")
 
     @classmethod
@@ -132,14 +138,17 @@ def load_preset(name):
 
 
 def build_field(config):
-    p = config.params
-    if config.system == "lorenz63":
-        return lorenz63(p.get("sigma", 10.0), p.get("rho", 28.0), p.get("beta", 8.0 / 3.0))
-    if config.system == "lorenz96":
-        return lorenz96(int(p.get("N", 40)), p.get("F", 2.0))
-    if config.system == "linear":
-        return linear_field(np.array(p["matrix"], dtype=float))
-    raise ConfigError("system", f"unknown system {config.system!r}")
+    """FIELDS[system](**params); a param that is unknown, missing, rejected or (bar
+    linear's matrix) not a finite number is a ConfigError("params")."""
+    if config.system not in FIELDS:
+        raise ConfigError("system", f"unknown system {config.system!r}")
+    for key, value in config.params.items():
+        if key != "matrix" and not _finite_number(value):
+            raise ConfigError("params", f"{key} must be a finite number, got {value!r}")
+    try:
+        return FIELDS[config.system](**config.params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("params", str(exc)) from exc
 
 
 def generate_trajectories(config):
@@ -240,7 +249,6 @@ def run_pipeline(config, write=True):
         pf_replaced = prefactor_curve(basis, config.n_sensors, m_range, replace_sensors=True)
 
     sv = basis.singular_values
-    das_post = errors_das[int(len(errors_das) * TRANSIENT_FRACTION):]
     summary = {
         "system": config.system,
         "vanilla_mean_rel_err": float(np.nanmean(errors_vanilla[v_modes])),
@@ -253,7 +261,7 @@ def run_pipeline(config, write=True):
             for m_v, e in errors_vanilla.items()
         },
         "dasdeim_post_transient_mean": post_transient_mean(errors_das),
-        "dasdeim_post_transient_min": float(np.nanmin(das_post)),
+        "dasdeim_post_transient_min": float(np.nanmin(post_transient(errors_das))),
         "sensor_indices": [int(i) for i in selection.indices],
         "sigma5": float(sv[4]) if sv.size > 4 else None,
         "sigma6": float(sv[5]) if sv.size > 5 else None,

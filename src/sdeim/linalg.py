@@ -30,9 +30,24 @@ def _as_matrix(a, name="matrix"):
     return a
 
 
-def default_rank_tol(shape, s0):
-    """Standard numerical-rank threshold: max(rows, cols) * eps * s_max."""
-    return max(shape) * np.finfo(float).eps * s0
+def _as_times(times, rows):
+    """The time axis of a record with `rows` rows: finite, strictly increasing."""
+    t = np.asarray(times, dtype=float)
+    if t.shape != (rows,):
+        raise DimensionError(f"times of shape {t.shape} do not match {rows} rows")
+    if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
+        raise DimensionError("times must be finite and strictly increasing")
+    return t
+
+
+def numerical_rank(shape, s, rank_tol=None):
+    """Rank of a matrix of this shape from its descending singular values s:
+    the count above rank_tol >= 0, by default max(rows, cols) * eps * s[0]."""
+    if rank_tol is None:
+        rank_tol = max(shape) * np.finfo(float).eps * s[0]
+    if rank_tol < 0:
+        raise ValueError("rank_tol must be nonnegative")
+    return int(np.sum(s > rank_tol))
 
 
 @dataclass(frozen=True)
@@ -120,30 +135,22 @@ def pinv(a, rank_tol=None):
     treated as exactly zero."""
     a = _as_matrix(a, "pinv input")
     u, s, v = svd_thin(a)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(a.shape, s[0] if s.size else 0.0)
-    if rank_tol < 0:
-        raise ValueError("rank_tol must be nonnegative")
-    inv = np.where(s > rank_tol, np.divide(1.0, s, out=np.zeros_like(s), where=s > 0), 0.0)
+    rank = numerical_rank(a.shape, s, rank_tol)
+    inv = np.zeros_like(s)
+    inv[:rank] = 1.0 / s[:rank]
     return (v * inv) @ u.T
 
 
 def matrix_rank(a, rank_tol=None):
     a = _as_matrix(a, "rank input")
-    s = np.linalg.svd(a, compute_uv=False)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(a.shape, s[0] if s.size else 0.0)
-    return int(np.sum(s > rank_tol))
+    return numerical_rank(a.shape, np.linalg.svd(a, compute_uv=False), rank_tol)
 
 
 def nullspace_orthonormal(a, rank_tol=None):
     """Orthonormal basis of the null space; shape (cols, cols - rank)."""
     a = _as_matrix(a, "nullspace input")
     _, s, vt = np.linalg.svd(a, full_matrices=True)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(a.shape, s[0] if s.size else 0.0)
-    rank = int(np.sum(s > rank_tol))
-    return vt[rank:].T.copy()
+    return vt[numerical_rank(a.shape, s, rank_tol):].T.copy()
 
 
 def spectral_norm(a):

@@ -75,7 +75,7 @@ def compute_pod(snapshots, m):
     """
     x = linalg._as_matrix(snapshots, "snapshots")
     u, s, _ = np.linalg.svd(_tall_r(x).T)
-    rank = int(np.sum(s > linalg.default_rank_tol(x.shape, s[0])))
+    rank = linalg.numerical_rank(x.shape, s)
     if not 1 <= m <= rank:
         raise RankError(f"m={m} exceeds the numerical rank {rank} of the snapshot matrix")
     if x.shape[0] <= x.shape[1]:

@@ -143,9 +143,8 @@ def two_stage_sdeim(basis, sel1, sel2, y1, y2):
     """Reconstruct from a first sensor batch, then fit the kernel vector
     to a withheld second batch (minimum-norm fit). Equivalent to the plain
     estimate using all sensors at once. Only sel2=None reduces to the
-    plain estimate from the first batch; y2 must have shape (sel2.n,)."""
-    if set(sel1.indices.tolist()) & set(sel2.indices.tolist() if sel2 is not None else []):
-        raise DimensionError("sensor batches must be disjoint")
+    plain estimate from the first batch; y2 must have shape (sel2.n,), and
+    no sensor may be in both batches (DimensionError)."""
     core1 = build_deim_core(basis, sel1)
     y1 = np.asarray(y1, dtype=float)
     if y1.shape != (sel1.n,):
@@ -155,9 +154,7 @@ def two_stage_sdeim(basis, sel1, sel2, y1, y2):
     y2 = np.asarray(y2, dtype=float)
     if y2.shape != (sel2.n,):
         raise DimensionError("second observation batch length mismatch")
-    combined = SensorSelection(
-        basis.dim, np.concatenate([sel1.indices, sel2.indices])
-    )
+    combined = SensorSelection(basis.dim, np.concatenate([sel1.indices, sel2.indices]))
     s_union = basis.phi[combined.indices, :]
     check_full_rank(s_union.shape, np.linalg.svd(s_union, compute_uv=False))
     s2_phi = basis.phi[sel2.indices, :]

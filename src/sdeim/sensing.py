@@ -54,22 +54,17 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class ObservationSeries:
-    """Uniformly spaced sensor samples: times (K,), samples (K, n)."""
+    """Uniformly spaced sensor samples: times (K,) finite, strictly increasing; samples (K, n)."""
 
     times: np.ndarray
     samples: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
         y = np.atleast_2d(np.asarray(self.samples, dtype=float))
-        if y.shape[0] != t.size:
-            raise DimensionError("times and samples length mismatch")
+        t = linalg._as_times(self.times, y.shape[0])
         if t.size < 2:
             raise DimensionError("need at least two samples")
-        gaps = np.diff(t)
-        if not np.all(gaps > 0):
-            raise DimensionError("times must be strictly increasing")
-        if gaps.max() - gaps.min() > UNIFORM_SPACING_TOL * max(1.0, abs(t[-1])):
+        if np.ptp(np.diff(t)) > UNIFORM_SPACING_TOL * max(1.0, abs(t[-1])):
             raise DimensionError("observation spacing must be uniform")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "samples", y)
@@ -162,7 +157,7 @@ def check_full_rank(shape, s):
     """The rank decision on S^T Phi of this shape from its descending
     singular values s; raises AssumptionError when it is rank deficient
     (the full-rank sampling assumption). Returns the rank, min(n, m)."""
-    rank = int(np.sum(s > linalg.default_rank_tol(shape, s[0])))
+    rank = linalg.numerical_rank(shape, s)
     if rank != min(shape):
         raise AssumptionError(
             f"rank(S^T Phi) = {rank} < min(n, m) = {min(shape)}: sampled basis is rank deficient"

@@ -354,7 +354,7 @@ class TestRelativeErrorSeries:
         rec = Trajectory(t, np.array([[1.0], [1.0], [2.0]]))
         errs = relative_error_series(rec, truth)
         assert np.isnan(errs[1])
-        assert post_transient_mean(errs, discard_fraction=0.0) == pytest.approx(0.5)
+        assert post_transient_mean(errs) == pytest.approx(0.5)
 
 
 class TestOneSidedLipschitz:

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,9 @@ class TestTrajectory:
         assert np.array_equal(back[:, 1:], x)
 
     def test_rejects_decreasing_times(self):
-        for times in ([0.0, 0.2, 0.1], [0.0, math.nan, 0.2]):
-            with pytest.raises(DimensionError):
-                Trajectory(np.array(times), np.zeros((3, 1)))
+        for times in ([0.0, 0.2, 0.1], [0.0, math.nan, 0.2], [0.0, 0.1, math.inf],
+                      [-math.inf, 0.0, 0.1], [math.nan]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DimensionError):
+                    Trajectory(np.array(times), np.zeros((len(times), 1)))

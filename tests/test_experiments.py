@@ -68,6 +68,11 @@ class TestPresets:
         ("linear8", "train_ic", ["a"] * 8),
         ("linear8", "test_ic", [0.4, -0.7, 0.2, 0.9, 0.1, -0.3, -0.5, float("inf")]),
         ("linear8", "n_modes", 0),
+        ("lorenz63", "params", {"sigma": 10.0, "rho": 28.0, "betta": 8.0 / 3.0}),
+        ("linear8", "params", {}),
+        ("lorenz63", "params", {"sigma": "a"}),
+        ("lorenz96", "params", {"N": 3, "F": 2.0}),
+        ("linear8", "params", {"matrix": [[0.0] * 8] * 7}),
     ])
     def test_inconsistent_config_fails_at_load_naming_the_field(self, preset, field, value):
         fields = {**load_preset(preset).__dict__, field: value}
@@ -293,14 +298,22 @@ class TestCli:
         assert info.value.code == (
             "pipeline failed: ConfigError: noise_std: must be finite and nonnegative")
 
-    @pytest.mark.parametrize("cmd", ["generate", "pod", "place"])
-    def test_bad_config_reported_in_one_line(self, tmp_path, cmd):
+    @pytest.mark.parametrize("cmd, flags, error", [
+        *(pytest.param(cmd, ["--preset", "linear8", "--noise-std", "nan"],
+                       "noise_std: must be finite and nonnegative", id=cmd)
+          for cmd in ("generate", "pod", "place")),
+        pytest.param("generate", ["--config", "no_matrix.json"], "params: linear_field() "
+                     "missing 1 required positional argument: 'matrix'", id="generate-params"),
+    ])
+    def test_bad_config_reported_in_one_line(self, tmp_path, monkeypatch, cmd, flags, error):
         from sdeim.cli import main
 
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "no_matrix.json").write_text(
+            json.dumps({**asdict(load_preset("linear8")), "params": {}}))
         with pytest.raises(SystemExit) as info:
-            main([cmd, "--preset", "linear8", "--noise-std", "nan", "--out", str(tmp_path)])
-        assert info.value.code == (
-            f"{cmd} failed: ConfigError: noise_std: must be finite and nonnegative")
+            main([cmd, *flags, "--out", str(tmp_path)])
+        assert info.value.code == f"{cmd} failed: ConfigError: {error}"
 
     def test_config_file_flag(self, tmp_path):
         cfg = load_preset("linear8")

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from sdeim import linalg
-from sdeim.errors import DimensionError
+from sdeim.errors import AssumptionError, DimensionError, RankError
+from sdeim.pod import compute_pod
+from sdeim.sensing import check_full_rank
 
 
 class TestQRColumnPivot:
@@ -119,6 +121,29 @@ class TestNullspace:
         assert z.shape == (8, 5)
         assert np.linalg.norm(a @ z) < 1e-10 * (1 + np.linalg.norm(a))
         assert np.linalg.norm(z.T @ z - np.eye(5)) < 1e-10
+
+
+class TestRankRule:
+    """numerical_rank is the one rank decision: every caller draws the same
+    line and rejects the same bad tolerance."""
+
+    # 1e-17 lies below the default threshold max(2, 2) * eps * 1 = 4.4e-16
+    A = np.diag([1.0, 1e-17])
+
+    @pytest.mark.parametrize("fn", [linalg.pinv, linalg.matrix_rank, linalg.nullspace_orthonormal])
+    def test_negative_rank_tol_rejected(self, fn):
+        with pytest.raises(ValueError, match="rank_tol"):
+            fn(np.eye(2), rank_tol=-1e-3)
+
+    def test_callers_agree_on_a_tiny_singular_value(self):
+        assert linalg.numerical_rank(self.A.shape, np.array([1.0, 1e-17])) == 1
+        assert linalg.matrix_rank(self.A) == 1
+        assert linalg.nullspace_orthonormal(self.A).shape == (2, 1)
+        assert np.array_equal(linalg.pinv(self.A), np.diag([1.0, 0.0]))
+        with pytest.raises(AssumptionError):
+            check_full_rank(self.A.shape, np.linalg.svd(self.A, compute_uv=False))
+        with pytest.raises(RankError):
+            compute_pod(self.A, 2)
 
 
 class TestSpectralNorm:

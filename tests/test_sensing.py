@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -154,12 +156,18 @@ class TestObservationSeries:
         with pytest.raises(DimensionError):
             ObservationSeries(np.array([0.0, 0.1, 0.3]), np.zeros((3, 1)))
 
-    @pytest.mark.parametrize("i", [0, 1, 2])
-    def test_rejects_a_nan_time(self, i):
-        times = 0.1 * np.arange(3)
-        times[i] = np.nan
-        with pytest.raises(DimensionError):
-            ObservationSeries(times, np.zeros((3, 1)))
+    @pytest.mark.parametrize("times", [
+        *(pytest.param(np.where(np.arange(3) == i, np.nan, 0.1 * np.arange(3)), id=str(i))
+          for i in range(3)),
+        pytest.param([0.0, np.inf], id="inf"),
+        pytest.param([-np.inf, 0.0], id="-inf"),
+        pytest.param([np.nan], id="lone-nan"),
+    ])
+    def test_rejects_a_nan_time(self, times):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionError):
+                ObservationSeries(np.array(times), np.zeros((len(times), 1)))
 
     def test_csv_round_trip(self, tmp_path):
         t = 0.2 * np.arange(5)
