@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import Trajectory, _list_result, drive_field
+from .dynamics import Trajectory, rk4_drive
 from .errors import DimensionError, ObservationRangeError
 from .reconstruct import _check_xi, sdeim, vanilla_deim
 from .sensing import ObservationSeries
@@ -96,7 +96,7 @@ def _kernel_ode(rhs, lifted, pz, on_lists):
 
     def kernel_ode(t, xi):
         u = interpolate_obs(lifted, min(t, t_end))
-        r = _list_result(rhs([a + sum(map(mul, row, xi)) for a, row in zip(u, pz_rows)]))
+        r = rhs([a + sum(map(mul, row, xi)) for a, row in zip(u, pz_rows)])
         return [sum(map(mul, r, col)) for col in pz_cols]
 
     return kernel_ode
@@ -112,11 +112,11 @@ def das_deim(core, f, series, xi0=None, dt=None):
     so clean runs keep the interpolation property along the whole path.
     The reconstruction is sdeim of the samples and the kernel path.
 
-    The kernel path is stepped by dynamics.drive_field: on float lists if
-    f.rhs maps a list to a list, otherwise on arrays. Every stage calls
-    interpolate_obs on the lifted series, held as float lists on the
-    float path, so both paths take the same stage inputs; they differ only
-    in how the PZ products round (~1e-16 relative in xi).
+    The kernel path is stepped by dynamics.rk4_drive on float lists if
+    f.on_lists, otherwise on arrays; f.rhs is called once a stage. Every
+    stage calls interpolate_obs on the lifted series, held as float lists
+    on the float path, so both paths take the same stage inputs; they
+    differ only in how the PZ products round (~1e-16 relative in xi).
     """
     spacing = series.dt
     if dt is None:
@@ -130,12 +130,10 @@ def das_deim(core, f, series, xi0=None, dt=None):
     if core.kernel_dim == 0:
         xi_path = np.zeros((times.size, 0))
     else:
-        n_steps = (times.size - 1) * n_sub
-
-        def make_ode(on_lists):
-            return _kernel_ode(f.rhs, lifted, core.kernel_lift, on_lists)
-
-        _, xi_path = drive_field(make_ode, xi0, spacing / n_sub, n_steps, n_sub, float(times[0]))
+        ode = _kernel_ode(f.rhs, lifted, core.kernel_lift, f.on_lists)
+        x0 = xi0.tolist() if f.on_lists else xi0
+        _, xi_path = rk4_drive(ode, x0, spacing / n_sub, (times.size - 1) * n_sub, n_sub,
+                               float(times[0]))
     return AssimilationRun(
         times=times.copy(),
         xi_path=xi_path,

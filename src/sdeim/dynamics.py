@@ -15,13 +15,25 @@ DIVERGENCE_LIMIT = 1e8
 @dataclass(frozen=True)
 class VectorField:
     """Autonomous ODE right-hand side u' = rhs(u) on R^dim; rhs takes and
-    returns arrays. Every field is first stepped on float lists (see
-    drive_field): an rhs that also maps a list to a list of floats runs
-    there, any other is stepped on arrays."""
+    returns arrays. When the field is built, rhs is called once, on the
+    zero state as a list of floats: on_lists is true if that returns a
+    list of dim entries, and the field is then stepped on float lists,
+    otherwise on arrays. A TypeError, AttributeError or ValueError from
+    that call (what array code raises on a list: -u, u.dot, u[index_array])
+    means arrays; any other exception propagates."""
 
     dim: int
     rhs: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
+    on_lists: bool = field(init=False)
+
+    def __post_init__(self):
+        try:
+            r = self.rhs([0.0] * self.dim)
+        except (TypeError, AttributeError, ValueError):
+            r = None
+        # the length test rejects u + u, which concatenates two lists
+        object.__setattr__(self, "on_lists", type(r) is list and len(r) == self.dim)
 
 
 @dataclass(frozen=True)
@@ -158,7 +170,8 @@ def rk4_drive(rhs, x0, h, n_steps, record_every=1, t0=0.0):
     every record_every-th step and the last; returns (times, states) as
     arrays. A list x0 steps on Python float lists (rhs then takes and
     returns lists), anything else on numpy arrays; both combine the stages
-    in rk4_step's order, bit for bit. A NaN or a component beyond
+    in rk4_step's order, bit for bit. Callers stepping a VectorField pass
+    a list when the field's on_lists is true. A NaN or a component beyond
     DIVERGENCE_LIMIT after any step raises DivergenceError."""
     if type(x0) is list:
         x = [float(v) for v in x0]
@@ -186,34 +199,9 @@ def rk4_drive(rhs, x0, h, n_steps, record_every=1, t0=0.0):
     return t0 + h * np.array(steps), states
 
 
-# What array code raises when handed a list (-u, u.dot, u[index_array]),
-# what the list kernels' strict zips raise for a list of the wrong length
-# (u + u), and what _list_result raises for a result that is no list (a @ u).
-_NOT_ON_LISTS = (TypeError, AttributeError, ValueError)
-
-
-def _list_result(r):
-    """r, the value of an rhs handed a list, if it is a list, else TypeError."""
-    if type(r) is not list:
-        raise TypeError(f"rhs mapped a list to {type(r).__name__}")
-    return r
-
-
-def drive_field(make_rhs, x0, h, n_steps, record_every=1, t0=0.0):
-    """rk4_drive from the array x0 with the step rhs make_rhs(on_lists):
-    first on float lists, and if that raises what array code raises on a
-    list (or _list_result raises), again on arrays, so an rhs that does
-    not map a list to a list gives the array path's result."""
-    try:
-        return rk4_drive(make_rhs(True), x0.tolist(), h, n_steps, record_every, t0)
-    except _NOT_ON_LISTS:
-        pass
-    return rk4_drive(make_rhs(False), x0, h, n_steps, record_every, t0)
-
-
 def _start(f, u0, span, dt):
-    """u0 as an array of shape (f.dim,) and the number of steps of size dt
-    in span."""
+    """u0 as rk4_drive steps f (a float list if f.on_lists, else an array
+    of shape (f.dim,)) and the number of steps of size dt in span."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if not 0 <= span < np.inf:
@@ -221,19 +209,7 @@ def _start(f, u0, span, dt):
     u = np.asarray(u0, dtype=float)
     if u.shape != (f.dim,):
         raise DimensionError(f"initial state length {u.shape} does not match dim {f.dim}")
-    return u, int(round(span / dt))
-
-
-def _field_rhs(f):
-    """drive_field's make_rhs for stepping f itself: f.rhs on either path."""
-
-    def on_arrays(t, x):
-        return f.rhs(x)
-
-    def on_lists(t, x):
-        return _list_result(f.rhs(x))
-
-    return lambda lists: on_lists if lists else on_arrays
+    return (u.tolist() if f.on_lists else u), int(round(span / dt))
 
 
 def integrate(f, u0, t_end, dt, record_every=1):
@@ -248,10 +224,10 @@ def integrate(f, u0, t_end, dt, record_every=1):
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     u, n_steps = _start(f, u0, t_end, dt)
-    return Trajectory(*drive_field(_field_rhs(f), u, dt, n_steps, record_every))
+    return Trajectory(*rk4_drive(lambda t, x: f.rhs(x), u, dt, n_steps, record_every))
 
 
 def advance(f, u0, t_span, dt):
     """Endpoint state only (spin-up helper; nothing recorded)."""
     u, n_steps = _start(f, u0, t_span, dt)
-    return drive_field(_field_rhs(f), u, dt, n_steps, max(n_steps, 1))[1][-1]
+    return rk4_drive(lambda t, x: f.rhs(x), u, dt, n_steps, max(n_steps, 1))[1][-1]

@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 import time
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -75,6 +76,14 @@ class ExperimentConfig:
     kernel_substeps: ClassVar[int] = KERNEL_SUBSTEPS
 
     def __post_init__(self):
+        if type(self.center) is not bool:
+            raise ConfigError("center", f"must be true or false, got {self.center!r}")
+        for name in ("seed", "n_modes", "n_sensors", "placement_modes", "vanilla_modes"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ConfigError(name, f"must be an integer, got {v!r}")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be nonnegative, got {self.seed}")
         for name in ("train_horizon", "test_horizon", "obs_dt"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(name, "must be positive and finite")
@@ -138,10 +147,13 @@ def load_preset(name):
 
 
 def build_field(config):
-    """FIELDS[system](**params); a param that is unknown, missing, rejected or (bar
-    linear's matrix) not a finite number is a ConfigError("params")."""
+    """FIELDS[system](**params); params that are no mapping, or a param that is
+    unknown, missing, rejected or (bar linear's matrix) not a finite number,
+    are a ConfigError("params")."""
     if config.system not in FIELDS:
         raise ConfigError("system", f"unknown system {config.system!r}")
+    if not isinstance(config.params, Mapping):
+        raise ConfigError("params", f"must be a mapping of names to values, got {config.params!r}")
     for key, value in config.params.items():
         if key != "matrix" and not _finite_number(value):
             raise ConfigError("params", f"{key} must be a finite number, got {value!r}")

@@ -253,31 +253,35 @@ class TestDasDeim:
             f = VectorField(dim=n_state, rhs=rhs)
         series = ObservationSeries(0.05 * np.arange(11), rng.normal(size=(11, n)))
         run = das_deim(core, f, series, dt=0.05 / 4)
-        # one call a stage: 4 stages x 4 substeps x 10 intervals, on lists
-        # throughout, or after one list stage (a @ u maps a list to an
-        # array) on arrays, at any dim
+        # one call a stage: 4 stages x 4 substeps x 10 intervals, all on
+        # lists, or (a @ u maps a list to an array) all on arrays, at any dim
         n_stages = 4 * 4 * 10
-        assert interpolate_calls == ([True] * n_stages if list_rhs else [True] + [False] * n_stages)
+        assert interpolate_calls == [list_rhs] * n_stages
         ref = np.array([xi for _, xi in reference_kernel_path(core, f, series, np.zeros(m - n), 4)[::4]])
         assert np.linalg.norm(run.xi_path - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_lorenz63_core_takes_the_float_path(self, interpolate_calls):
         core, f, series = lorenz63_assimilation_case()
-        run = das_deim(core, f, series, dt=series.dt / 20)
-        assert interpolate_calls == [True] * (4 * 20 * (series.times.size - 1))
+        rhs_calls = []
+        g = VectorField(dim=3, rhs=lambda u: rhs_calls.append(type(u)) or f.rhs(u))
+        rhs_calls.clear()  # the probe when g was built
+        run = das_deim(core, g, series, dt=series.dt / 20)
+        n_stages = 4 * 20 * (series.times.size - 1)
+        # one field call and one interpolation a stage, all on lists
+        assert interpolate_calls == [True] * n_stages and rhs_calls == [list] * n_stages
         assert np.all(np.isfinite(run.xi_path))
 
     def test_array_only_small_field_takes_the_array_path(self, interpolate_calls):
         # the lorenz63 case's shifted field behind an rhs written for arrays
-        # only (a list + 0.0 raises): the float path fails at its first
-        # stage and the run repeats on arrays
+        # only (a list + 0.0 raises): the field is built with on_lists false
+        # and every stage runs on arrays
         core, f, series = lorenz63_assimilation_case()
         g = VectorField(dim=3, rhs=lambda u: f.rhs(u + 0.0))
         xi0 = np.ones(core.kernel_dim)
         n_sub = 8
         run = das_deim(core, g, series, xi0=xi0, dt=series.dt / n_sub)
         n_stages = 4 * n_sub * (series.times.size - 1)
-        assert interpolate_calls == [True] + [False] * n_stages
+        assert not g.on_lists and interpolate_calls == [False] * n_stages
         ref = np.array([xi for _, xi in reference_kernel_path(core, f, series, xi0, n_sub)[::n_sub]])
         assert np.linalg.norm(run.xi_path - ref) <= 1e-12 * np.linalg.norm(ref)
 

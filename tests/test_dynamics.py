@@ -258,8 +258,9 @@ class TestKernelSets:
     ], ids=["linear", "lorenz96", "negate", "concatenate", "dot"])
     def test_small_array_fields_give_the_array_path_bits(self, f):
         # linear_field's a @ u maps a list to an array; the others are array
-        # code that raises on a list (u[index_array], -u, u.dot) or, with u + u
-        # concatenating lists, would be silently wrong without the strict zips
+        # code that raises on a list (u[index_array], -u, u.dot) or, as u + u
+        # does, concatenates two lists into one of the wrong length
+        assert not f.on_lists
         u0 = np.linspace(-1.0, 2.0, f.dim)
         t_a, x_a = rk4_drive(lambda t, x: f.rhs(x), u0, 1e-3, 2000)
         traj = integrate(f, u0, 2.0, 1e-3)
@@ -267,16 +268,31 @@ class TestKernelSets:
         assert np.array_equal(traj.states, x_a)
         assert np.array_equal(advance(f, u0, 2.0, 1e-3), x_a[-1])
 
-    def test_fallback_repeats_a_list_run_that_fails_midway(self):
-        # the rhs takes lists until u_0 passes 1, then only arrays
+    def test_a_list_field_raising_midway_raises_its_own_error(self):
+        # u' = (sqrt(1 - u_0), 1): u_0 = 1 - (1 - t/2)^2 reaches 1 at t = 2,
+        # where an RK4 stage overshoots and math.sqrt raises; that error is
+        # the caller's, and the run is not repeated on arrays
+        seen = []
+
         def rhs(u):
-            if type(u) is list and u[0] > 1.0:
-                raise TypeError("arrays only from here")
-            return np.ones(2) if type(u) is not list else [1.0, 1.0]
+            seen.append(type(u))
+            if type(u) is list:
+                return [math.sqrt(1.0 - u[0]), 1.0]
+            return np.array([np.sqrt(1.0 - u[0]), 1.0])
 
         f = VectorField(dim=2, rhs=rhs)
-        traj = integrate(f, np.zeros(2), 2.0, 0.1)
-        assert np.allclose(traj.states[-1], [2.0, 2.0], rtol=0.0, atol=1e-12)
+        assert f.on_lists
+        with pytest.raises(ValueError, match="math domain error") as err:
+            integrate(f, np.zeros(2), 4.0, 0.01)
+        assert type(err.value) is ValueError
+        assert len(seen) > 4 * 150 and set(seen) == {list}
+
+    def test_a_probe_error_other_than_the_array_ones_propagates(self):
+        def rhs(u):
+            return [1.0 / v for v in u]
+
+        with pytest.raises(ZeroDivisionError):
+            VectorField(dim=2, rhs=rhs)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2 * DIVERGENCE_LIMIT])
     @pytest.mark.parametrize("i", [0, 1, 2])
@@ -293,24 +309,29 @@ class TestKernelSets:
         linear_field(np.random.default_rng(4).normal(size=(3, 3))),
         build_field(load_preset("linear8")),
     ], ids=["linear3", "linear8"])
-    def test_linear_field_steps_on_arrays_after_one_list_stage(self, f):
-        # a @ u maps a list to an array, so the list run stops at its first
-        # stage and every stage of the rerun gets an array, at any dim
+    def test_linear_field_is_probed_once_then_steps_on_arrays(self, f):
+        # a @ u maps a list to an array: the one list call is the probe when
+        # the field is built, and every stage gets an array, at any dim
         seen = []
 
         def rhs(u):
             seen.append(type(u))
             return f.rhs(u)
 
-        integrate(VectorField(dim=f.dim, rhs=rhs), np.ones(f.dim), 0.01, 1e-3)
+        g = VectorField(dim=f.dim, rhs=rhs)
+        assert seen == [list] and not g.on_lists
+        integrate(g, np.ones(f.dim), 0.01, 1e-3)
         assert seen == [list] + [np.ndarray] * (4 * 10)
 
     def test_small_fields_return_lists_for_lists(self):
         u = [1.0, -2.0, 3.0]
         for f in (lorenz63(), shifted_field(lorenz63(), [1.0, 2.0, 3.0])):
+            assert f.on_lists
             out = f.rhs(u)
             assert type(out) is list and all(type(v) is float for v in out)
             assert out == f.rhs(np.array(u)).tolist()
+        with pytest.raises(TypeError):  # the field decides, no caller
+            VectorField(dim=3, rhs=lorenz63().rhs, on_lists=True)
 
 
 class TestTrajectory:

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +22,14 @@ from sdeim.experiments import (
 from sdeim.sensing import build_deim_core
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "sdeim", *args], capture_output=True, text=True
+        [sys.executable, "-m", "sdeim", *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -73,6 +80,18 @@ class TestPresets:
         ("lorenz63", "params", {"sigma": "a"}),
         ("lorenz96", "params", {"N": 3, "F": 2.0}),
         ("linear8", "params", {"matrix": [[0.0] * 8] * 7}),
+        ("lorenz63", "params", [1.0]),
+        ("lorenz63", "params", None),
+        ("lorenz63", "center", "false"),
+        ("lorenz63", "center", 0),
+        ("lorenz63", "seed", -1),
+        ("lorenz63", "seed", 1.5),
+        ("lorenz63", "seed", True),
+        ("linear8", "n_modes", 2.5),
+        ("linear8", "n_modes", True),
+        ("lorenz63", "n_sensors", 1.0),
+        ("linear8", "placement_modes", 3.0),
+        ("linear8", "vanilla_modes", True),
     ])
     def test_inconsistent_config_fails_at_load_naming_the_field(self, preset, field, value):
         fields = {**load_preset(preset).__dict__, field: value}
