@@ -15,7 +15,8 @@ DIVERGENCE_LIMIT = 1e8
 @dataclass(frozen=True)
 class VectorField:
     """Autonomous ODE right-hand side u' = rhs(u) on R^dim; rhs takes and
-    returns arrays. When the field is built, rhs is called once, on the
+    returns arrays. dim must be an integer >= 1 (a bool is not), else
+    DimensionError. When the field is built, rhs is called once, on the
     zero state as a list of floats: on_lists is true if that returns a
     list of dim entries, and the field is then stepped on float lists,
     otherwise on arrays. A TypeError, AttributeError or ValueError from
@@ -28,6 +29,9 @@ class VectorField:
     on_lists: bool = field(init=False)
 
     def __post_init__(self):
+        d = self.dim
+        if not isinstance(d, numbers.Integral) or isinstance(d, bool) or d < 1:
+            raise DimensionError(f"dim must be an integer >= 1, got {d!r}")
         try:
             r = self.rhs([0.0] * self.dim)
         except (TypeError, AttributeError, ValueError):

@@ -1,9 +1,8 @@
 """Dense linear-algebra primitives with explicit contracts.
 
-Matrices are plain float ndarrays. Factorizations that admit a vetted
-LAPACK route (SVD and everything derived from it) use numpy; the
-column-pivoted QR is hand-rolled so that the greedy pivot order and its
-tie-breaking are fully specified.
+Matrices are plain float ndarrays. Every factorization is numpy's
+LAPACK route; only the greedy column-pivot order is hand-rolled, so that
+it and its tie-breaking are fully specified.
 """
 
 from dataclasses import dataclass
@@ -40,14 +39,10 @@ def _as_times(times, rows):
     return t
 
 
-def numerical_rank(shape, s, rank_tol=None):
+def numerical_rank(shape, s):
     """Rank of a matrix of this shape from its descending singular values s:
-    the count above rank_tol >= 0, by default max(rows, cols) * eps * s[0]."""
-    if rank_tol is None:
-        rank_tol = max(shape) * np.finfo(float).eps * s[0]
-    if rank_tol < 0:
-        raise ValueError("rank_tol must be nonnegative")
-    return int(np.sum(s > rank_tol))
+    the count above max(rows, cols) * eps * s[0]."""
+    return int(np.sum(s > max(shape) * np.finfo(float).eps * s[0]))
 
 
 @dataclass(frozen=True)
@@ -60,15 +55,11 @@ class PivotedQR:
     perm: np.ndarray
 
 
-def _householder_pivot(a, steps, with_q):
-    """The greedy column-pivoted Householder loop, run for `steps` steps on
-    a copy of a. Returns (r, q, perm); q accumulates the reflectors only
-    when with_q (None otherwise), and no step reads it, so r and perm do
-    not depend on with_q."""
-    rows, cols = a.shape
+def _householder_pivot(a, steps):
+    """The column order of the greedy column-pivoted Householder loop, run
+    for `steps` steps on a copy of a. No step reads a Q, so none is formed."""
     r = a.copy()
-    q = np.eye(rows) if with_q else None
-    perm = np.arange(cols)
+    perm = np.arange(a.shape[1])
     for k in range(steps):
         norms = np.linalg.norm(r[k:, k:], axis=0)
         best = norms.max()
@@ -89,9 +80,7 @@ def _householder_pivot(a, steps, with_q):
             continue
         v /= nv
         r[k:, :] -= 2.0 * np.outer(v, v @ r[k:, :])
-        if with_q:
-            q[:, k:] -= 2.0 * np.outer(q[:, k:] @ v, v)
-    return r, q, perm
+    return perm
 
 
 def qr_column_pivot(a):
@@ -99,28 +88,26 @@ def qr_column_pivot(a):
 
     At step k the remaining column with the largest trailing Euclidean
     norm is moved to position k; near-ties (within TIE_RTOL relative)
-    resolve to the lowest original column index.
+    resolve to the lowest original column index. Q and R are numpy's
+    thin QR of the permuted columns.
     """
     a = _as_matrix(a, "qr input")
-    k_max = min(a.shape)
-    r, q, perm = _householder_pivot(a, k_max, with_q=True)
-    r_thin = np.triu(r[:k_max, :])
+    perm = _householder_pivot(a, min(a.shape))
+    q, r = np.linalg.qr(a[:, perm])
     # sign convention: nonnegative diagonal of R
-    flip = np.diag(r_thin) < 0
-    r_thin[flip, :] *= -1.0
-    q_thin = q[:, :k_max].copy()
-    q_thin[:, flip] *= -1.0
-    return PivotedQR(q=q_thin, r=r_thin, perm=perm)
+    flip = np.diag(r) < 0
+    r[flip, :] *= -1.0
+    q[:, flip] *= -1.0
+    return PivotedQR(q=q, r=r, perm=perm)
 
 
 def column_pivots(a, n):
     """The first n entries of qr_column_pivot(a).perm, bit for bit, from
-    only the first min(n, rows, cols) steps of the same loop and no Q."""
+    only the first min(n, rows, cols) steps of the same loop."""
     a = _as_matrix(a, "qr input")
     if not 1 <= n <= a.shape[1]:
         raise DimensionError(f"n={n} outside 1..{a.shape[1]}")
-    _, _, perm = _householder_pivot(a, min(n, *a.shape), with_q=False)
-    return perm[:n].copy()
+    return _householder_pivot(a, min(n, *a.shape))[:n].copy()
 
 
 def svd_thin(a):
@@ -130,27 +117,27 @@ def svd_thin(a):
     return u, s, vt.T
 
 
-def pinv(a, rank_tol=None):
-    """Moore-Penrose pseudoinverse; singular values below rank_tol are
-    treated as exactly zero."""
+def pinv(a):
+    """Moore-Penrose pseudoinverse; singular values that numerical_rank
+    does not count are treated as exactly zero."""
     a = _as_matrix(a, "pinv input")
     u, s, v = svd_thin(a)
-    rank = numerical_rank(a.shape, s, rank_tol)
+    rank = numerical_rank(a.shape, s)
     inv = np.zeros_like(s)
     inv[:rank] = 1.0 / s[:rank]
     return (v * inv) @ u.T
 
 
-def matrix_rank(a, rank_tol=None):
+def matrix_rank(a):
     a = _as_matrix(a, "rank input")
-    return numerical_rank(a.shape, np.linalg.svd(a, compute_uv=False), rank_tol)
+    return numerical_rank(a.shape, np.linalg.svd(a, compute_uv=False))
 
 
-def nullspace_orthonormal(a, rank_tol=None):
+def nullspace_orthonormal(a):
     """Orthonormal basis of the null space; shape (cols, cols - rank)."""
     a = _as_matrix(a, "nullspace input")
     _, s, vt = np.linalg.svd(a, full_matrices=True)
-    return vt[numerical_rank(a.shape, s, rank_tol):].T.copy()
+    return vt[numerical_rank(a.shape, s):].T.copy()
 
 
 def spectral_norm(a):

@@ -142,15 +142,12 @@ def prefactor_curve(basis_full, n, m_range, replace_sensors=False):
 def two_stage_sdeim(basis, sel1, sel2, y1, y2):
     """Reconstruct from a first sensor batch, then fit the kernel vector
     to a withheld second batch (minimum-norm fit). Equivalent to the plain
-    estimate using all sensors at once. Only sel2=None reduces to the
-    plain estimate from the first batch; y2 must have shape (sel2.n,), and
+    estimate using all sensors at once. y2 must have shape (sel2.n,), and
     no sensor may be in both batches (DimensionError)."""
     core1 = build_deim_core(basis, sel1)
     y1 = np.asarray(y1, dtype=float)
     if y1.shape != (sel1.n,):
         raise DimensionError("first observation batch length mismatch")
-    if sel2 is None:
-        return vanilla_deim(core1, y1)
     y2 = np.asarray(y2, dtype=float)
     if y2.shape != (sel2.n,):
         raise DimensionError("second observation batch length mismatch")

@@ -294,6 +294,18 @@ class TestKernelSets:
         with pytest.raises(ZeroDivisionError):
             VectorField(dim=2, rhs=rhs)
 
+    @pytest.mark.parametrize("dim", [2.5, -1, 0, True])
+    def test_bad_dim_rejected_before_the_probe(self, dim):
+        seen = []
+
+        def rhs(u):
+            seen.append(u)
+            return -u
+
+        with pytest.raises(DimensionError, match="dim"):
+            VectorField(dim=dim, rhs=rhs)
+        assert seen == []
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2 * DIVERGENCE_LIMIT])
     @pytest.mark.parametrize("i", [0, 1, 2])
     def test_both_paths_stop_at_the_same_step(self, i, bad):

@@ -224,18 +224,9 @@ class TestPrefactorCurve:
 
 
 class TestTwoStage:
-    def test_empty_second_batch_reduces_to_vanilla(self):
-        rng = np.random.default_rng(18)
-        basis = BasisMatrix(random_orthonormal(rng, 10, 6))
-        sel1 = SensorSelection(10, [1, 5])
-        core1 = build_deim_core(basis, sel1)
-        y1 = rng.normal(size=2)
-        rec = two_stage_sdeim(basis, sel1, None, y1, None)
-        assert np.array_equal(rec, vanilla_deim(core1, y1))
-
     @pytest.mark.parametrize("y2", [np.array([]), np.ones(1), None], ids=["empty", "short", "none"])
     def test_misshapen_second_batch_rejected(self, y2):
-        # a non-empty sel2 never reduces to vanilla: its samples must match it
+        # the second batch's samples must match sel2
         rng = np.random.default_rng(25)
         basis = BasisMatrix(random_orthonormal(rng, 10, 6))
         sel1 = SensorSelection(10, [0, 3])
