@@ -87,7 +87,7 @@ def cmd_pipeline(args):
 
 
 def cmd_properties(args):
-    report = run_all(seed=args.seed or 0, corrupt_basis=args.inject_corruption)
+    report = run_all(seed=args.seed or 0)
     payload = {}
     failures = 0
     for suite, checks in report.items():
@@ -130,8 +130,6 @@ def main(argv=None):
     prop = subs.add_parser("properties", help="run all module invariant suites")
     prop.add_argument("--seed", type=int, default=0)
     prop.add_argument("--out", default=None, help="directory for properties.json")
-    prop.add_argument("--inject-corruption", action="store_true",
-                      help="negative control: corrupt the basis fed to the pod suite")
     prop.set_defaults(fn=cmd_properties)
 
     args = parser.parse_args(argv)

@@ -42,16 +42,13 @@ class VectorField:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded solution: times (K,) finite, strictly increasing; states (K, dim)."""
+    """Recorded solution: times (K,) finite, strictly increasing; states (K, dim) finite."""
 
     times: np.ndarray
     states: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.states, dtype=float))
-        t = linalg._as_times(self.times, x.shape[0])
-        if not np.all(np.isfinite(x)):
-            raise DimensionError("states contain non-finite entries")
+        t, x = linalg._as_record(self.times, self.states, "states")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", x)
 

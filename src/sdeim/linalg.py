@@ -29,14 +29,16 @@ def _as_matrix(a, name="matrix"):
     return a
 
 
-def _as_times(times, rows):
-    """The time axis of a record with `rows` rows: finite, strictly increasing."""
+def _as_record(times, values, name):
+    """A time record as float arrays: values a finite K-row matrix, times
+    (K,) finite and strictly increasing."""
+    x = _as_matrix(np.atleast_2d(values), name)
     t = np.asarray(times, dtype=float)
-    if t.shape != (rows,):
-        raise DimensionError(f"times of shape {t.shape} do not match {rows} rows")
+    if t.shape != (x.shape[0],):
+        raise DimensionError(f"times of shape {t.shape} do not match {x.shape[0]} rows")
     if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
         raise DimensionError("times must be finite and strictly increasing")
-    return t
+    return t, x
 
 
 def numerical_rank(shape, s):

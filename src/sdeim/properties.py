@@ -20,9 +20,18 @@ from .pod import BasisMatrix, compute_pod, truncation_error
 from .reconstruct import error_report, optimal_kernel, sdeim, two_stage_sdeim, vanilla_deim
 from .sensing import ObservationSeries, SensorSelection, build_deim_core, observe, qdeim_place
 
+# the least positive double: "worst < LEAST_POSITIVE" means none is above zero
+LEAST_POSITIVE = np.nextafter(0.0, 1.0)
+
 
 def _check(results, name, passed, detail=""):
     results.append((name, bool(passed), detail))
+
+
+def _worst(results, name, tol, values, label="worst"):
+    """Passes when the worst (largest) of values is below tol."""
+    worst = np.max(values)
+    _check(results, name, worst < tol, f"{label} {worst:.2e}")
 
 
 def _random_orthonormal(rng, n, m):
@@ -38,115 +47,92 @@ def _random_core(rng, n_state, m, n):
     return build_deim_core(basis, SensorSelection(n_state, np.sort(idx)))
 
 
+def _oblique(core):
+    """The interpolation projector D = Phi (S^T Phi)^+ S^T and the
+    orthogonal projector Phi Phi^T onto the basis range."""
+    phi = core.basis.phi
+    return phi @ core.s_phi_pinv @ np.eye(core.dim)[core.selection.indices, :], phi @ phi.T
+
+
 def matrix_core_suite(seed=0):
     rng = np.random.default_rng(seed)
     res = []
-    worst_qr = worst_orth = 0.0
-    greedy_ok = True
-    for _ in range(20):
-        a = rng.normal(size=(8, 8))
-        fac = linalg.qr_column_pivot(a)
-        p = np.eye(8)[:, fac.perm]
-        worst_qr = max(worst_qr, np.linalg.norm(a @ p - fac.q @ fac.r) / np.linalg.norm(a))
-        worst_orth = max(worst_orth, np.linalg.norm(fac.q.T @ fac.q - np.eye(fac.q.shape[1])))
-        # greedy invariant: at each step the chosen trailing norm dominates
-        r_work = a[:, fac.perm].copy()
-        for k in range(8):
-            norms = np.linalg.norm(r_work[k:, k:], axis=0)
-            if norms[0] < norms.max() * (1 - 1e-12):
-                greedy_ok = False
-            # reduce one column via householder on the already-pivoted matrix
-            x = r_work[k:, k]
-            nx = np.linalg.norm(x)
-            if nx == 0:
-                continue
-            v = x.copy()
-            v[0] += np.copysign(nx, x[0]) if x[0] != 0 else nx
-            nv = np.linalg.norm(v)
-            if nv == 0:
-                continue
-            v /= nv
-            r_work[k:, :] -= 2.0 * np.outer(v, v @ r_work[k:, :])
-    _check(res, "qr reconstruction A P = Q R", worst_qr < 1e-10, f"worst rel resid {worst_qr:.2e}")
-    _check(res, "qr orthonormal Q", worst_orth < 1e-10, f"worst {worst_orth:.2e}")
-    _check(res, "qr greedy pivot dominance", greedy_ok)
+    mats = [rng.normal(size=(8, 8)) for _ in range(20)]
+    facs = [linalg.qr_column_pivot(a) for a in mats]
+    _worst(res, "qr reconstruction A P = Q R", 1e-10,
+           [np.linalg.norm(a[:, f.perm] - f.q @ f.r) / np.linalg.norm(a) for a, f in zip(mats, facs)],
+           "worst rel resid")
+    _worst(res, "qr orthonormal Q", 1e-10, [np.linalg.norm(f.q.T @ f.q - np.eye(8)) for f in facs])
+    # greedy invariant: after k steps the trailing column norms are those
+    # of r[k:, k:], and the pivot's, |r[k, k]|, dominates them
+    trailing = [np.linalg.norm(f.r[k:, k:], axis=0) for f in facs for k in range(8)]
+    _check(res, "qr greedy pivot dominance", all(t[0] >= t.max() * (1 - 1e-12) for t in trailing))
 
-    worst_svd = 0.0
+    svd = []
     for _ in range(20):
         a = rng.normal(size=(6, 4))
         u, s, v = linalg.svd_thin(a)
-        worst_svd = max(worst_svd, np.linalg.norm(a - (u * s) @ v.T) / np.linalg.norm(a))
-    _check(res, "svd reconstruction", worst_svd < 1e-10, f"worst {worst_svd:.2e}")
+        svd.append(np.linalg.norm(a - (u * s) @ v.T) / np.linalg.norm(a))
+    _worst(res, "svd reconstruction", 1e-10, svd)
 
-    worst_mp = 0.0
-    worst_double = 0.0
+    penrose, double = [], []
     for _ in range(20):
         a = rng.normal(size=(5, 3))
         ap = linalg.pinv(a)
         nrm = np.linalg.norm(a)
-        worst_mp = max(
-            worst_mp,
+        penrose += [
             np.linalg.norm(a @ ap @ a - a) / nrm,
             np.linalg.norm(ap @ a @ ap - ap) / np.linalg.norm(ap),
             np.linalg.norm((a @ ap).T - a @ ap),
             np.linalg.norm((ap @ a).T - ap @ a),
-        )
-        worst_double = max(worst_double, np.linalg.norm(linalg.pinv(ap) - a) / nrm)
-    _check(res, "pinv Moore-Penrose identities", worst_mp < 1e-10, f"worst {worst_mp:.2e}")
-    _check(res, "pinv of pinv returns input", worst_double < 1e-8, f"worst {worst_double:.2e}")
+        ]
+        double.append(np.linalg.norm(linalg.pinv(ap) - a) / nrm)
+    _worst(res, "pinv Moore-Penrose identities", 1e-10, penrose)
+    _worst(res, "pinv of pinv returns input", 1e-8, double)
 
-    worst_null = 0.0
+    null = []
     for _ in range(20):
         a = rng.normal(size=(3, 6))
         z = linalg.nullspace_orthonormal(a)
-        worst_null = max(
-            worst_null,
-            np.linalg.norm(a @ z) / (1 + np.linalg.norm(a)),
-            np.linalg.norm(z.T @ z - np.eye(z.shape[1])),
-        )
-    _check(res, "nullspace annihilated and orthonormal", worst_null < 1e-10, f"worst {worst_null:.2e}")
+        null += [np.linalg.norm(a @ z) / (1 + np.linalg.norm(a)),
+                 np.linalg.norm(z.T @ z - np.eye(z.shape[1]))]
+    _worst(res, "nullspace annihilated and orthonormal", 1e-10, null)
     return res
 
 
-def pod_suite(seed=0, phi_override=None):
+def pod_suite(seed=0):
     """POD contracts on a rank-3 10 x 50 snapshot matrix, the wide
     orientation the presets take, and on its 50 x 10 transpose, the tall
-    one large fields take. phi_override replaces the wide basis."""
+    one large fields take."""
     rng = np.random.default_rng(seed)
     res = []
     x = rng.normal(size=(10, 3)) @ rng.normal(size=(3, 50))
-    _pod_checks(res, rng, x, "", phi_override)
-    _pod_checks(res, rng, x.T, " (tall 50 x 10 snapshots)", None)
+    _pod_checks(res, rng, x, "")
+    _pod_checks(res, rng, x.T, " (tall 50 x 10 snapshots)")
     return res
 
 
-def _pod_checks(res, rng, x, label, phi_override):
+def _pod_checks(res, rng, x, label):
     dim = x.shape[0]
     basis = compute_pod(x, 2)
-    phi = basis.phi if phi_override is None else np.asarray(phi_override, dtype=float)
+    phi = basis.phi
     gram = np.linalg.norm(phi.T @ phi - np.eye(phi.shape[1]))
     _check(res, "basis orthonormality" + label, gram < 1e-10, f"||Phi^T Phi - I|| = {gram:.2e}")
 
-    worst = 0.0
+    perp = []
     for _ in range(20):
         u = rng.normal(size=dim)
         c = rng.normal(size=2)
         u_hat = phi @ (phi.T @ u)
-        worst = max(
-            worst,
-            abs(np.dot(u - u_hat, phi @ c)) / (np.linalg.norm(u) * np.linalg.norm(c) + 1e-300),
-        )
-    _check(res, "orthogonal reconstruction residual perpendicular to range" + label,
-           worst < 1e-10, f"worst {worst:.2e}")
+        perp.append(abs(np.dot(u - u_hat, phi @ c)) / (np.linalg.norm(u) * np.linalg.norm(c) + 1e-300))
+    _worst(res, "orthogonal reconstruction residual perpendicular to range" + label, 1e-10, perp)
 
     pod_err = sum(truncation_error(x[:, k], basis) for k in range(x.shape[1]))
     beaten = 0
     for _ in range(100):
-        q = _random_orthonormal(rng, dim, 2)
-        rand_basis = BasisMatrix(q)
+        rand_basis = BasisMatrix(_random_orthonormal(rng, dim, 2))
         rand_err = sum(truncation_error(x[:, k], rand_basis) for k in range(x.shape[1]))
-        if rand_err < pod_err - 1e-12:
-            beaten += 1
+        beaten += rand_err < pod_err - 1e-12
     _check(res, "pod beats 100 random bases on summed truncation error" + label, beaten == 0,
            f"beaten {beaten} times")
 
@@ -154,25 +140,16 @@ def _pod_checks(res, rng, x, label, phi_override):
 def sensing_suite(seed=0):
     rng = np.random.default_rng(seed)
     res = []
-    phi = _random_orthonormal(rng, 12, 5)
-    basis = BasisMatrix(phi)
+    basis = BasisMatrix(_random_orthonormal(rng, 12, 5))
     sel_a = qdeim_place(basis, 3)
     sel_b = qdeim_place(basis, 3)
     _check(res, "placement deterministic", np.array_equal(sel_a.indices, sel_b.indices))
 
-    worst_ri = worst_orth = 0.0
-    for _ in range(20):
-        core = _random_core(rng, 12, 6, 3)
-        worst_ri = max(
-            worst_ri,
-            np.linalg.norm(core.s_phi @ core.s_phi_pinv - np.eye(3)),
-        )
-        worst_orth = max(
-            worst_orth,
-            np.linalg.norm(core.kernel_matrix.T @ core.s_phi_pinv),
-        )
-    _check(res, "pseudoinverse is a right inverse (n < m)", worst_ri < 1e-10, f"worst {worst_ri:.2e}")
-    _check(res, "kernel orthogonal to pinv range", worst_orth < 1e-10, f"worst {worst_orth:.2e}")
+    cores = [_random_core(rng, 12, 6, 3) for _ in range(20)]
+    _worst(res, "pseudoinverse is a right inverse (n < m)", 1e-10,
+           [np.linalg.norm(c.s_phi @ c.s_phi_pinv - np.eye(3)) for c in cores])
+    _worst(res, "kernel orthogonal to pinv range", 1e-10,
+           [np.linalg.norm(c.kernel_matrix.T @ c.s_phi_pinv) for c in cores])
     return res
 
 
@@ -180,30 +157,21 @@ def reconstruction_suite(seed=0):
     rng = np.random.default_rng(seed)
     res = []
 
-    worst_interp = 0.0
+    interp = []
     for _ in range(100):
         core = _random_core(rng, 10, 6, 3)
         y = rng.normal(size=3)
         rec = sdeim(core, y, rng.normal(size=core.kernel_dim))
-        worst_interp = max(worst_interp, np.linalg.norm(observe(rec, core.selection) - y))
-    _check(res, "interpolation property over 100 instances", worst_interp < 1e-10,
-           f"worst {worst_interp:.2e}")
+        interp.append(np.linalg.norm(observe(rec, core.selection) - y))
+    _worst(res, "interpolation property over 100 instances", 1e-10, interp)
 
     # projection property fails when n < m, holds when n >= m
-    core_under = _random_core(rng, 10, 6, 3)
-    phi = core_under.basis.phi
-    d_op = phi @ core_under.s_phi_pinv @ np.eye(10)[core_under.selection.indices, :]
-    proj = phi @ phi.T
-    dist_under = np.linalg.norm(d_op @ proj - proj)
-    _check(res, "projection property fails for n < m", dist_under > 1e-6,
-           f"distance {dist_under:.2e}")
-    core_over = _random_core(rng, 10, 3, 6)
-    phi_o = core_over.basis.phi
-    d_over = phi_o @ core_over.s_phi_pinv @ np.eye(10)[core_over.selection.indices, :]
-    proj_o = phi_o @ phi_o.T
-    dist_over = np.linalg.norm(d_over @ proj_o - proj_o)
-    _check(res, "projection property holds for n >= m", dist_over < 1e-9,
-           f"distance {dist_over:.2e}")
+    d_op, proj = _oblique(_random_core(rng, 10, 6, 3))
+    dist = np.linalg.norm(d_op @ proj - proj)
+    _check(res, "projection property fails for n < m", dist > 1e-6, f"distance {dist:.2e}")
+    d_over, proj_o = _oblique(_random_core(rng, 10, 3, 6))
+    dist = np.linalg.norm(d_over @ proj_o - proj_o)
+    _check(res, "projection property holds for n >= m", dist < 1e-9, f"distance {dist:.2e}")
 
     dpp = d_op @ proj
     _check(
@@ -212,63 +180,42 @@ def reconstruction_suite(seed=0):
         np.linalg.norm(dpp @ dpp - dpp) < 1e-9 and np.linalg.norm(dpp - dpp.T) < 1e-9,
     )
 
-    worst_pyth = 0.0
-    bound_ok = True
+    reps = []
     for _ in range(100):
         core = _random_core(rng, 10, 6, 3)
         u = rng.normal(size=10)
-        rep = error_report(core, u, rng.normal(size=core.kernel_dim))
-        lhs = rep.total_sq
-        rhs = rep.trunc_sq + rep.oblique_sq + rep.kernel_sq
-        worst_pyth = max(worst_pyth, abs(lhs - rhs) / (abs(lhs) + 1e-300))
-        if np.sqrt(rep.total_sq) > rep.upper_bound + 1e-8 * (1 + rep.upper_bound):
-            bound_ok = False
-    _check(res, "error decomposition identity over 100 instances", worst_pyth < 1e-8,
-           f"worst rel {worst_pyth:.2e}")
-    _check(res, "upper bound dominates actual error", bound_ok)
+        reps.append(error_report(core, u, rng.normal(size=core.kernel_dim)))
+    _worst(res, "error decomposition identity over 100 instances", 1e-8,
+           [abs(r.total_sq - (r.trunc_sq + r.oblique_sq + r.kernel_sq)) / (abs(r.total_sq) + 1e-300)
+            for r in reps], "worst rel")
+    _check(res, "upper bound dominates actual error",
+           all(np.sqrt(r.total_sq) <= r.upper_bound + 1e-8 * (1 + r.upper_bound) for r in reps))
 
-    worst_norm_eq = 0.0
-    for _ in range(10):
-        core = _random_core(rng, 9, 5, 2)
-        phi = core.basis.phi
-        d_mat = phi @ core.s_phi_pinv @ np.eye(9)[core.selection.indices, :]
-        worst_norm_eq = max(
-            worst_norm_eq,
-            abs(linalg.spectral_norm(d_mat) - linalg.spectral_norm(np.eye(9) - d_mat)),
-        )
-    _check(res, "projector norm identity ||D|| = ||I - D||", worst_norm_eq < 1e-8,
-           f"worst {worst_norm_eq:.2e}")
+    d_mats = [_oblique(_random_core(rng, 9, 5, 2))[0] for _ in range(10)]
+    _worst(res, "projector norm identity ||D|| = ||I - D||", 1e-8,
+           [abs(linalg.spectral_norm(d) - linalg.spectral_norm(np.eye(9) - d)) for d in d_mats])
 
-    worst_two = 0.0
+    two = []
     for _ in range(50):
-        phi = _random_orthonormal(rng, 10, 6)
-        basis = BasisMatrix(phi)
+        basis = BasisMatrix(_random_orthonormal(rng, 10, 6))
         idx = rng.choice(10, size=4, replace=False)
         sel1 = SensorSelection(10, idx[:2])
         sel2 = SensorSelection(10, idx[2:])
         u = rng.normal(size=10)
         rec2 = two_stage_sdeim(basis, sel1, sel2, u[idx[:2]], u[idx[2:]])
-        core_all = build_deim_core(basis, SensorSelection(10, idx))
-        rec1 = vanilla_deim(core_all, u[idx])
-        worst_two = max(
-            worst_two,
-            np.linalg.norm(rec2 - rec1) / (np.linalg.norm(rec1) + 1e-300),
-        )
-    _check(res, "two-stage equals single-stage over 50 instances", worst_two < 1e-8,
-           f"worst rel {worst_two:.2e}")
+        rec1 = vanilla_deim(build_deim_core(basis, SensorSelection(10, idx)), u[idx])
+        two.append(np.linalg.norm(rec2 - rec1) / (np.linalg.norm(rec1) + 1e-300))
+    _worst(res, "two-stage equals single-stage over 50 instances", 1e-8, two, "worst rel")
 
-    worst_opt = 0.0
+    opt = []
     for _ in range(20):
         core = _random_core(rng, 8, 5, 2)
         u = rng.normal(size=8)
-        xi_hat = optimal_kernel(core, u)
         # oracle: dense least squares for xi minimizing ||u~(Z xi) - u||
         base = core.basis.phi @ (core.s_phi_pinv @ u[core.selection.indices])
-        phi_z = core.basis.phi @ core.kernel_matrix
-        xi_ls, *_ = np.linalg.lstsq(phi_z, u - base, rcond=None)
-        worst_opt = max(worst_opt, np.linalg.norm(xi_hat - xi_ls))
-    _check(res, "optimal kernel matches least-squares oracle", worst_opt < 1e-8,
-           f"worst {worst_opt:.2e}")
+        xi_ls, *_ = np.linalg.lstsq(core.basis.phi @ core.kernel_matrix, u - base, rcond=None)
+        opt.append(np.linalg.norm(optimal_kernel(core, u) - xi_ls))
+    _worst(res, "optimal kernel matches least-squares oracle", 1e-8, opt)
     return res
 
 
@@ -325,18 +272,11 @@ def assimilation_suite(seed=0):
     times = 0.05 * np.arange(121)
     series = ObservationSeries(times, np.zeros((121, 2)))
     xi0 = rng.normal(size=core.kernel_dim)
-    run = das_deim(core, f_lin, series, xi0=xi0, dt=0.05 / 20)
-    err0 = np.linalg.norm(run.reconstruction.states[0])
-    envelope_ok = True
-    worst_margin = 0.0
-    for k, t in enumerate(times):
-        err = np.linalg.norm(run.reconstruction.states[k])
-        bound = err0 * np.exp(rho * t) * (1 + 1e-3)
-        worst_margin = max(worst_margin, err - bound)
-        if err > bound:
-            envelope_ok = False
-    _check(res, "exponential decay within e^(rho t) envelope", envelope_ok,
-           f"worst overshoot {worst_margin:.2e}")
+    states = das_deim(core, f_lin, series, xi0=xi0, dt=0.05 / 20).reconstruction.states
+    err0 = np.linalg.norm(states[0])
+    _worst(res, "exponential decay within e^(rho t) envelope", LEAST_POSITIVE,
+           [max(np.linalg.norm(x) - err0 * np.exp(rho * t) * (1 + 1e-3), 0.0) for t, x in zip(times, states)],
+           "worst overshoot")
 
     # the kernel rhs never sees observation derivatives: series that agree
     # at shared sample times give identical rhs there
@@ -346,24 +286,18 @@ def assimilation_suite(seed=0):
     y_fine = rng.normal(size=(11, 2))
     series_fine = ObservationSeries(t_fine, y_fine)
     series_coarse = ObservationSeries(t_fine[::2], y_fine[::2])
-    worst_dy = 0.0
     xi = rng.normal(size=core2.kernel_dim)
-    for t in t_fine[::2]:
-        r1 = kernel_rhs(core2, f2, series_fine, t, xi)
-        r2 = kernel_rhs(core2, f2, series_coarse, t, xi)
-        worst_dy = max(worst_dy, np.linalg.norm(r1 - r2))
-    _check(res, "kernel rhs independent of interpolation slopes", worst_dy == 0.0,
-           f"worst {worst_dy:.2e}")
+    _worst(res, "kernel rhs independent of interpolation slopes", LEAST_POSITIVE,
+           [np.linalg.norm(kernel_rhs(core2, f2, series_fine, t, xi)
+                           - kernel_rhs(core2, f2, series_coarse, t, xi)) for t in t_fine[::2]])
 
     # brute-force instantaneous minimizer, including an explicit
     # finite-difference observation derivative
-    worst_bf = 0.0
+    brute = []
     for _ in range(10):
         core3 = _random_core(rng, 6, 4, 2)
         f3 = linear_field(rng.normal(size=(6, 6)))
-        times3 = 0.1 * np.arange(6)
-        y3 = rng.normal(size=(6, 2))
-        series3 = ObservationSeries(times3, y3)
+        series3 = ObservationSeries(0.1 * np.arange(6), rng.normal(size=(6, 2)))
         xi = rng.normal(size=core3.kernel_dim)
         t_eval = 0.25
         rhs_val = kernel_rhs(core3, f3, series3, t_eval, xi)
@@ -373,9 +307,8 @@ def assimilation_suite(seed=0):
         u_rec = phi3 @ (core3.s_phi_pinv @ interpolate_obs(series3, t_eval)) + phi3 @ core3.kernel_matrix @ xi
         target = f3.rhs(u_rec) - phi3 @ (core3.s_phi_pinv @ y_dot)
         xi_dot_ls, *_ = np.linalg.lstsq(phi3 @ core3.kernel_matrix, target, rcond=None)
-        worst_bf = max(worst_bf, np.linalg.norm(rhs_val - xi_dot_ls))
-    _check(res, "kernel rhs matches brute-force instantaneous minimizer", worst_bf < 1e-8,
-           f"worst {worst_bf:.2e}")
+        brute.append(np.linalg.norm(rhs_val - xi_dot_ls))
+    _worst(res, "kernel rhs matches brute-force instantaneous minimizer", 1e-8, brute)
 
     # affinity in xi for linear fields
     core4 = _random_core(rng, 6, 4, 2)
@@ -396,13 +329,8 @@ def assimilation_suite(seed=0):
     q5 = _random_orthonormal(rng, 6, 3)
     p5 = q5 @ q5.T
     rho5 = one_sided_lipschitz_linear(a5, p5)
-    ok = True
-    for _ in range(1000):
-        du = rng.normal(size=6)
-        if du @ (p5 @ (a5 @ du)) > (rho5 + 1e-9) * du @ du:
-            ok = False
-            break
-    _check(res, "sampled one-sided inequality holds at computed constant", ok)
+    _check(res, "sampled one-sided inequality holds at computed constant",
+           all(du @ (p5 @ (a5 @ du)) <= (rho5 + 1e-9) * du @ du for du in rng.normal(size=(1000, 6))))
     return res
 
 
@@ -416,18 +344,6 @@ ALL_SUITES = {
 }
 
 
-def run_all(seed=0, corrupt_basis=False):
-    """Execute every suite; returns {suite: [(name, passed, detail), ...]}.
-
-    corrupt_basis injects a deliberately non-orthonormal basis into the
-    pod suite (negative control for the harness itself).
-    """
-    report = {}
-    for name, fn in ALL_SUITES.items():
-        if name == "pod-basis" and corrupt_basis:
-            bad = np.eye(10)[:, :2]
-            bad[0, 0] = 1.01
-            report[name] = fn(seed=seed, phi_override=bad)
-        else:
-            report[name] = fn(seed=seed)
-    return report
+def run_all(seed=0):
+    """Execute every suite; returns {suite: [(name, passed, detail), ...]}."""
+    return {name: suite(seed=seed) for name, suite in ALL_SUITES.items()}

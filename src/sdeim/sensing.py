@@ -20,9 +20,12 @@ class SensorSelection:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
+        idx = np.asarray(self.indices)
         if idx.ndim != 1 or idx.size < 1:
             raise DimensionError("need at least one sensor index")
+        if not np.issubdtype(idx.dtype, np.integer):  # bool is not an integer dtype
+            raise DimensionError(f"sensor indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(int, copy=False)
         if idx.size > self.n_state:
             raise DimensionError("more sensors than state components")
         if np.any(idx < 0) or np.any(idx >= self.n_state):
@@ -54,14 +57,13 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class ObservationSeries:
-    """Uniformly spaced sensor samples: times (K,) finite, strictly increasing; samples (K, n)."""
+    """Uniformly spaced sensor samples: times (K,) finite, strictly increasing; samples (K, n) finite."""
 
     times: np.ndarray
     samples: np.ndarray
 
     def __post_init__(self):
-        y = np.atleast_2d(np.asarray(self.samples, dtype=float))
-        t = linalg._as_times(self.times, y.shape[0])
+        t, y = linalg._as_record(self.times, self.samples, "samples")
         if t.size < 2:
             raise DimensionError("need at least two samples")
         if np.ptp(np.diff(t)) > UNIFORM_SPACING_TOL * max(1.0, abs(t[-1])):

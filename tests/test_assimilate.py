@@ -25,19 +25,9 @@ from sdeim.dynamics import (
 )
 from sdeim.errors import DimensionError, DivergenceError, ObservationRangeError
 from sdeim.pod import BasisMatrix, compute_pod
+from sdeim.properties import _random_core, _random_orthonormal
 from sdeim.reconstruct import vanilla_deim
 from sdeim.sensing import ObservationSeries, SensorSelection, build_deim_core, observe, qdeim_place
-
-
-def random_orthonormal(rng, n, m):
-    q, _ = np.linalg.qr(rng.normal(size=(n, m)))
-    return q[:, :m]
-
-
-def make_core(rng, n_state, m, n):
-    basis = BasisMatrix(random_orthonormal(rng, n_state, m))
-    idx = np.sort(rng.choice(n_state, size=n, replace=False))
-    return build_deim_core(basis, SensorSelection(n_state, idx))
 
 
 def reference_kernel_path(core, f, series, xi0, n_sub):
@@ -122,7 +112,7 @@ class TestInterpolateObs:
 class TestKernelRhs:
     def test_zero_field_gives_zero(self):
         rng = np.random.default_rng(0)
-        core = make_core(rng, 6, 4, 2)
+        core = _random_core(rng, 6, 4, 2)
         f = linear_field(np.zeros((6, 6)))
         series = ObservationSeries(0.1 * np.arange(4), rng.normal(size=(4, 2)))
         out = kernel_rhs(core, f, series, 0.2, np.zeros(core.kernel_dim))
@@ -131,7 +121,7 @@ class TestKernelRhs:
     def test_matches_brute_force_minimizer_with_observation_derivative(self):
         # dense least squares including an explicit finite-difference y'
         rng = np.random.default_rng(1)
-        core = make_core(rng, 6, 4, 2)
+        core = _random_core(rng, 6, 4, 2)
         f = linear_field(rng.normal(size=(6, 6)))
         series = ObservationSeries(0.1 * np.arange(6), rng.normal(size=(6, 2)))
         xi = rng.normal(size=core.kernel_dim)
@@ -147,7 +137,7 @@ class TestKernelRhs:
 
     def test_affine_in_xi_for_linear_field(self):
         rng = np.random.default_rng(2)
-        core = make_core(rng, 6, 4, 2)
+        core = _random_core(rng, 6, 4, 2)
         f = linear_field(rng.normal(size=(6, 6)))
         series = ObservationSeries(0.1 * np.arange(4), rng.normal(size=(4, 2)))
         xi_a, xi_b = rng.normal(size=2), rng.normal(size=2)
@@ -160,7 +150,7 @@ class TestKernelRhs:
 
     def test_requires_nonempty_kernel(self):
         rng = np.random.default_rng(3)
-        core = make_core(rng, 6, 2, 2)
+        core = _random_core(rng, 6, 2, 2)
         f = linear_field(np.zeros((6, 6)))
         series = ObservationSeries(0.1 * np.arange(4), rng.normal(size=(4, 2)))
         with pytest.raises(DimensionError):
@@ -183,7 +173,7 @@ class TestDasDeim:
 
     def test_clean_run_keeps_interpolation_property(self):
         rng = np.random.default_rng(5)
-        core = make_core(rng, 6, 4, 2)
+        core = _random_core(rng, 6, 4, 2)
         a = rng.normal(size=(6, 6))
         a = -np.eye(6) + 0.1 * a
         f = linear_field(a)
@@ -197,7 +187,7 @@ class TestDasDeim:
 
     def test_xi_path_shape_and_times(self):
         rng = np.random.default_rng(6)
-        core = make_core(rng, 6, 4, 2)
+        core = _random_core(rng, 6, 4, 2)
         f = linear_field(-np.eye(6))
         times = 0.1 * np.arange(11)
         series = ObservationSeries(times, rng.normal(size=(11, 2)))
@@ -209,11 +199,11 @@ class TestDasDeim:
     def test_xi_path_matches_reference_rk4_over_kernel_rhs(self, system):
         rng = np.random.default_rng(11)
         if system == "linear":
-            core = make_core(rng, 6, 4, 2)
+            core = _random_core(rng, 6, 4, 2)
             f = linear_field(-np.eye(6) + 0.3 * rng.normal(size=(6, 6)))
             series = ObservationSeries(0.05 * np.arange(21), rng.normal(size=(21, 2)))
         elif system == "linear-large":
-            core = make_core(rng, 12, 5, 2)
+            core = _random_core(rng, 12, 5, 2)
             f = linear_field(-np.eye(12) + 0.3 * rng.normal(size=(12, 12)))
             series = ObservationSeries(0.05 * np.arange(21), rng.normal(size=(21, 2)))
         else:
@@ -227,7 +217,7 @@ class TestDasDeim:
     def test_divergence_reports_last_finite_step_time(self):
         # xi' = 50 xi for an orthonormal basis: the kernel path blows up
         rng = np.random.default_rng(12)
-        core = make_core(rng, 6, 4, 2)
+        core = _random_core(rng, 6, 4, 2)
         f = linear_field(50.0 * np.eye(6))
         series = ObservationSeries(0.1 + 0.1 * np.arange(11), np.zeros((11, 2)))
         xi0 = np.ones(core.kernel_dim)
@@ -241,7 +231,7 @@ class TestDasDeim:
     @pytest.mark.parametrize("list_rhs", [True, False], ids=["list-rhs", "linear_field"])
     def test_float_path_chosen_by_rhs_result_type(self, interpolate_calls, n_state, m, n, list_rhs):
         rng = np.random.default_rng(13)
-        core = make_core(rng, n_state, m, n)
+        core = _random_core(rng, n_state, m, n)
         a = -np.eye(n_state) + 0.3 * rng.normal(size=(n_state, n_state))
         f = linear_field(a)
         if list_rhs:
@@ -314,7 +304,7 @@ class TestDasDeim:
             return du if is_list else np.array(du)
 
         rng = np.random.default_rng(14)
-        core = make_core(rng, 3, 3, 1)
+        core = _random_core(rng, 3, 3, 1)
         f = VectorField(dim=3, rhs=rhs)
         series = ObservationSeries(0.1 + 0.1 * np.arange(11), np.zeros((11, 1)))
         xi0 = np.ones(core.kernel_dim)
@@ -326,7 +316,7 @@ class TestDasDeim:
 
     def test_rejects_nondividing_step(self):
         rng = np.random.default_rng(7)
-        core = make_core(rng, 6, 4, 2)
+        core = _random_core(rng, 6, 4, 2)
         f = linear_field(-np.eye(6))
         series = ObservationSeries(0.1 * np.arange(5), rng.normal(size=(5, 2)))
         with pytest.raises(ValueError):
@@ -371,7 +361,7 @@ class TestOneSidedLipschitz:
     def test_sampled_inequality(self):
         rng = np.random.default_rng(8)
         a = rng.normal(size=(5, 5))
-        q = random_orthonormal(rng, 5, 2)
+        q = _random_orthonormal(rng, 5, 2)
         p = q @ q.T
         rho = one_sided_lipschitz_linear(a, p)
         for _ in range(1000):
@@ -388,7 +378,7 @@ class TestOneSidedLipschitz:
 
     def test_restricted_rate_can_be_negative(self):
         rng = np.random.default_rng(9)
-        q = random_orthonormal(rng, 6, 2)
+        q = _random_orthonormal(rng, 6, 2)
         p = q @ q.T
         a = -np.eye(6)
         assert one_sided_lipschitz_linear(a, p) == pytest.approx(0.0, abs=1e-12)
@@ -400,7 +390,7 @@ class TestSyntheticConvergence:
         # stable linear field with the basis range invariant; truth at the
         # attractor (origin), so observations are exactly representable
         rng = np.random.default_rng(10)
-        phi = random_orthonormal(rng, 8, 5)
+        phi = _random_orthonormal(rng, 8, 5)
         basis = BasisMatrix(phi)
         sel = qdeim_place(basis, 2)
         core = build_deim_core(basis, sel)

@@ -364,3 +364,8 @@ class TestTrajectory:
                 warnings.simplefilter("error")
                 with pytest.raises(DimensionError):
                     Trajectory(np.array(times), np.zeros((len(times), 1)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_states(self, bad):
+        with pytest.raises(DimensionError):
+            Trajectory([0.0, 0.1], [[0.0, 1.0], [bad, 1.0]])

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdeim import experiments, reconstruct
+from sdeim import cli, experiments, reconstruct
 from sdeim.dynamics import VectorField
 from sdeim.errors import ConfigError, DivergenceError
 from sdeim.experiments import (
@@ -383,7 +383,8 @@ class TestPropertiesCommand:
         assert all(suite["failed"] == 0 for suite in report.values())
         assert all(suite["passed"] > 0 for suite in report.values())
 
-    def test_corrupted_basis_negative_control(self):
-        proc = run_cli("properties", "--inject-corruption")
-        assert proc.returncode == 1
-        assert "FAIL" in proc.stdout
+    def test_corrupted_basis_negative_control(self, monkeypatch, capsys):
+        failing = {"pod-basis": [("basis orthonormality", False, "||Phi^T Phi - I|| = 1.00e-02")]}
+        monkeypatch.setattr(cli, "run_all", lambda seed: failing)
+        assert cli.main(["properties"]) == 1
+        assert "[FAIL]" in capsys.readouterr().out

@@ -3,11 +3,7 @@ import pytest
 
 from sdeim.errors import DimensionError, RankError
 from sdeim.pod import BasisMatrix, compute_pod, singular_values, truncation_error
-
-
-def random_orthonormal(rng, n, m):
-    q, _ = np.linalg.qr(rng.normal(size=(n, m)))
-    return q[:, :m]
+from sdeim.properties import _random_orthonormal
 
 
 # every case runs on a wide (N <= K) and a tall (N > K) snapshot matrix:
@@ -103,7 +99,7 @@ class TestBasisMatrix:
 
     def test_leading_sub_basis(self):
         rng = np.random.default_rng(4)
-        basis = BasisMatrix(random_orthonormal(rng, 7, 4))
+        basis = BasisMatrix(_random_orthonormal(rng, 7, 4))
         sub = basis.leading(2)
         assert sub.n_modes == 2
         assert np.array_equal(sub.phi, basis.phi[:, :2])
@@ -112,13 +108,13 @@ class TestBasisMatrix:
 class TestTruncationError:
     def test_in_range_state_has_zero_error(self):
         rng = np.random.default_rng(5)
-        basis = BasisMatrix(random_orthonormal(rng, 8, 3))
+        basis = BasisMatrix(_random_orthonormal(rng, 8, 3))
         u = basis.phi @ rng.normal(size=3)
         assert truncation_error(u, basis) < 1e-12 * np.linalg.norm(u)
 
     def test_orthogonal_state_keeps_full_norm(self):
         rng = np.random.default_rng(6)
-        q = random_orthonormal(rng, 8, 4)
+        q = _random_orthonormal(rng, 8, 4)
         basis = BasisMatrix(q[:, :2])
         u = q[:, 3] * 2.5
         assert truncation_error(u, basis) == pytest.approx(2.5, rel=1e-12)
@@ -134,6 +130,6 @@ class TestTruncationError:
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(8)
-        basis = BasisMatrix(random_orthonormal(rng, 6, 2))
+        basis = BasisMatrix(_random_orthonormal(rng, 6, 2))
         with pytest.raises(DimensionError):
             truncation_error(np.ones(5), basis)

@@ -4,6 +4,7 @@ import pytest
 from sdeim import reconstruct
 from sdeim.errors import AssumptionError, DimensionError
 from sdeim.pod import BasisMatrix
+from sdeim.properties import _random_core, _random_orthonormal
 from sdeim.reconstruct import (
     error_report,
     optimal_kernel,
@@ -13,11 +14,6 @@ from sdeim.reconstruct import (
     vanilla_deim,
 )
 from sdeim.sensing import SensorSelection, build_deim_core, observe, qdeim_place
-
-
-def random_orthonormal(rng, n, m):
-    q, _ = np.linalg.qr(rng.normal(size=(n, m)))
-    return q[:, :m]
 
 
 def count_cores(monkeypatch):
@@ -33,29 +29,23 @@ def count_cores(monkeypatch):
     return calls
 
 
-def make_core(rng, n_state, m, n):
-    basis = BasisMatrix(random_orthonormal(rng, n_state, m))
-    idx = np.sort(rng.choice(n_state, size=n, replace=False))
-    return build_deim_core(basis, SensorSelection(n_state, idx))
-
-
 class TestVanillaDeim:
     def test_square_case_recovers_in_range_state(self):
         rng = np.random.default_rng(0)
-        core = make_core(rng, 8, 3, 3)
+        core = _random_core(rng, 8, 3, 3)
         u = core.basis.phi @ rng.normal(size=3)
         rec = vanilla_deim(core, observe(u, core.selection))
         assert np.linalg.norm(rec - u) < 1e-10 * np.linalg.norm(u)
 
     def test_equals_sdeim_with_zero_kernel_bitwise(self):
         rng = np.random.default_rng(1)
-        core = make_core(rng, 9, 5, 2)
+        core = _random_core(rng, 9, 5, 2)
         y = rng.normal(size=2)
         assert np.array_equal(vanilla_deim(core, y), sdeim(core, y, np.zeros(core.kernel_dim)))
 
     def test_dimension_check(self):
         rng = np.random.default_rng(2)
-        core = make_core(rng, 9, 5, 2)
+        core = _random_core(rng, 9, 5, 2)
         with pytest.raises(DimensionError):
             vanilla_deim(core, np.ones(3))
 
@@ -63,21 +53,21 @@ class TestVanillaDeim:
 class TestSdeim:
     def test_interpolation_property(self):
         rng = np.random.default_rng(3)
-        core = make_core(rng, 10, 6, 2)
+        core = _random_core(rng, 10, 6, 2)
         y = rng.normal(size=2)
         rec = sdeim(core, y, rng.normal(size=core.kernel_dim))
         assert np.linalg.norm(observe(rec, core.selection) - y) < 1e-10
 
     def test_exact_for_in_range_state_with_optimal_kernel(self):
         rng = np.random.default_rng(4)
-        core = make_core(rng, 10, 6, 2)
+        core = _random_core(rng, 10, 6, 2)
         u = core.basis.phi @ rng.normal(size=6)
         rec = sdeim(core, observe(u, core.selection), optimal_kernel(core, u))
         assert np.linalg.norm(rec - u) < 1e-8 * np.linalg.norm(u)
 
     def test_misshapen_observations_or_kernel_rejected(self):
         rng = np.random.default_rng(6)
-        core = make_core(rng, 10, 6, 2)
+        core = _random_core(rng, 10, 6, 2)
         y, xi = rng.normal(size=(5, 2)), rng.normal(size=(5, core.kernel_dim))
         for estimate in (vanilla_deim, sdeim):
             with pytest.raises(DimensionError):
@@ -100,7 +90,7 @@ class TestBlocks:
     ])
     def test_rows_match_per_row_calls(self, n_state, m, n, k):
         rng = np.random.default_rng(26)
-        core = make_core(rng, n_state, m, n)
+        core = _random_core(rng, n_state, m, n)
         y, xi = rng.normal(size=(k, n)), rng.normal(size=(k, core.kernel_dim))
         vanilla, shifted = vanilla_deim(core, y), sdeim(core, y, xi)
         assert vanilla.shape == shifted.shape == (k, n_state)
@@ -116,7 +106,7 @@ class TestBlocks:
 class TestOptimalKernel:
     def test_zero_for_orthogonal_state(self):
         rng = np.random.default_rng(7)
-        q = random_orthonormal(rng, 9, 6)
+        q = _random_orthonormal(rng, 9, 6)
         basis = BasisMatrix(q[:, :4])
         core = build_deim_core(basis, qdeim_place(basis, 2))
         u = q[:, 5]
@@ -124,12 +114,12 @@ class TestOptimalKernel:
 
     def test_empty_when_square(self):
         rng = np.random.default_rng(8)
-        core = make_core(rng, 8, 3, 3)
+        core = _random_core(rng, 8, 3, 3)
         assert optimal_kernel(core, rng.normal(size=8)).size == 0
 
     def test_matches_dense_least_squares(self):
         rng = np.random.default_rng(9)
-        core = make_core(rng, 8, 5, 2)
+        core = _random_core(rng, 8, 5, 2)
         u = rng.normal(size=8)
         xi_hat = optimal_kernel(core, u)
         base = core.basis.phi @ (core.s_phi_pinv @ observe(u, core.selection))
@@ -141,7 +131,7 @@ class TestOptimalKernel:
 class TestErrorReport:
     def test_exact_reconstruction_vanishes(self):
         rng = np.random.default_rng(10)
-        core = make_core(rng, 10, 6, 2)
+        core = _random_core(rng, 10, 6, 2)
         u = core.basis.phi @ rng.normal(size=6)
         rep = error_report(core, u, optimal_kernel(core, u))
         assert rep.total_sq < 1e-16 * np.linalg.norm(u) ** 2
@@ -149,7 +139,7 @@ class TestErrorReport:
     def test_pythagorean_identity(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
-            core = make_core(rng, 10, 6, 3)
+            core = _random_core(rng, 10, 6, 3)
             u = rng.normal(size=10)
             rep = error_report(core, u, rng.normal(size=core.kernel_dim))
             lhs = rep.total_sq
@@ -158,7 +148,7 @@ class TestErrorReport:
 
     def test_square_case_bound_reduces_to_inverse_norm(self):
         rng = np.random.default_rng(12)
-        core = make_core(rng, 8, 3, 3)
+        core = _random_core(rng, 8, 3, 3)
         u = rng.normal(size=8)
         rep = error_report(core, u, None)
         inv_norm = np.linalg.svd(np.linalg.inv(core.s_phi), compute_uv=False)[0]
@@ -168,7 +158,7 @@ class TestErrorReport:
     def test_bound_dominates_error(self):
         rng = np.random.default_rng(13)
         for _ in range(25):
-            core = make_core(rng, 9, 5, 2)
+            core = _random_core(rng, 9, 5, 2)
             u = rng.normal(size=9)
             rep = error_report(core, u, rng.normal(size=core.kernel_dim))
             assert np.sqrt(rep.total_sq) <= rep.upper_bound + 1e-8 * (1 + rep.upper_bound)
@@ -177,7 +167,7 @@ class TestErrorReport:
 class TestPrefactorCurve:
     def test_square_value_is_inverse_norm(self):
         rng = np.random.default_rng(15)
-        basis = BasisMatrix(random_orthonormal(rng, 9, 4))
+        basis = BasisMatrix(_random_orthonormal(rng, 9, 4))
         curve = prefactor_curve(basis, 2, [2])
         sel = qdeim_place(basis.leading(2), 2)
         s_phi = basis.phi[sel.indices, :2]
@@ -187,21 +177,21 @@ class TestPrefactorCurve:
     def test_nonincreasing_with_fixed_sensors(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
-            basis = BasisMatrix(random_orthonormal(rng, 12, 6))
+            basis = BasisMatrix(_random_orthonormal(rng, 12, 6))
             curve = prefactor_curve(basis, 2, range(2, 7))
             vals = [v for _, v in curve]
             assert all(vals[i + 1] <= vals[i] + 1e-9 for i in range(len(vals) - 1))
 
     def test_m_below_n_rejected(self):
         rng = np.random.default_rng(17)
-        basis = BasisMatrix(random_orthonormal(rng, 8, 4))
+        basis = BasisMatrix(_random_orthonormal(rng, 8, 4))
         with pytest.raises(DimensionError):
             prefactor_curve(basis, 3, [2, 3])
 
     @pytest.mark.parametrize("replace", [False, True])
     def test_matches_core_prefactor_without_building_cores(self, monkeypatch, replace):
         rng = np.random.default_rng(22)
-        basis = BasisMatrix(random_orthonormal(rng, 30, 8))
+        basis = BasisMatrix(_random_orthonormal(rng, 30, 8))
         calls = count_cores(monkeypatch)
         curve = prefactor_curve(basis, 3, range(3, 9), replace_sensors=replace)
         assert calls == []
@@ -228,7 +218,7 @@ class TestTwoStage:
     def test_misshapen_second_batch_rejected(self, y2):
         # the second batch's samples must match sel2
         rng = np.random.default_rng(25)
-        basis = BasisMatrix(random_orthonormal(rng, 10, 6))
+        basis = BasisMatrix(_random_orthonormal(rng, 10, 6))
         sel1 = SensorSelection(10, [0, 3])
         with pytest.raises(DimensionError, match="second observation batch"):
             two_stage_sdeim(basis, sel1, SensorSelection(10, [7, 9]), np.ones(2), y2)
@@ -236,7 +226,7 @@ class TestTwoStage:
     def test_matches_single_stage_with_all_sensors(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
-            basis = BasisMatrix(random_orthonormal(rng, 10, 6))
+            basis = BasisMatrix(_random_orthonormal(rng, 10, 6))
             idx = rng.choice(10, size=4, replace=False)
             sel1 = SensorSelection(10, idx[:2])
             sel2 = SensorSelection(10, idx[2:])
@@ -248,7 +238,7 @@ class TestTwoStage:
 
     def test_first_batch_interpolation_exact(self):
         rng = np.random.default_rng(20)
-        basis = BasisMatrix(random_orthonormal(rng, 10, 6))
+        basis = BasisMatrix(_random_orthonormal(rng, 10, 6))
         sel1 = SensorSelection(10, [0, 3])
         sel2 = SensorSelection(10, [7, 9])
         u = rng.normal(size=10)
@@ -257,7 +247,7 @@ class TestTwoStage:
 
     def test_builds_only_the_first_batch_core(self, monkeypatch):
         rng = np.random.default_rng(23)
-        basis = BasisMatrix(random_orthonormal(rng, 10, 6))
+        basis = BasisMatrix(_random_orthonormal(rng, 10, 6))
         calls = count_cores(monkeypatch)
         u = rng.normal(size=10)
         two_stage_sdeim(
@@ -268,7 +258,7 @@ class TestTwoStage:
     def test_rank_deficient_union_rejected(self):
         # row 9 of Phi is zero: the first batch is full rank, the union is not
         rng = np.random.default_rng(24)
-        basis = BasisMatrix(np.vstack([random_orthonormal(rng, 9, 6), np.zeros((1, 6))]))
+        basis = BasisMatrix(np.vstack([_random_orthonormal(rng, 9, 6), np.zeros((1, 6))]))
         sel1 = SensorSelection(10, [0, 3])
         build_deim_core(basis, sel1)
         with pytest.raises(AssumptionError):
@@ -276,7 +266,7 @@ class TestTwoStage:
 
     def test_overlapping_batches_rejected(self):
         rng = np.random.default_rng(21)
-        basis = BasisMatrix(random_orthonormal(rng, 10, 6))
+        basis = BasisMatrix(_random_orthonormal(rng, 10, 6))
         with pytest.raises(DimensionError):
             two_stage_sdeim(
                 basis,

@@ -6,6 +6,7 @@ import pytest
 from sdeim import linalg
 from sdeim.errors import AssumptionError, DimensionError
 from sdeim.pod import BasisMatrix
+from sdeim.properties import _random_orthonormal
 from sdeim.sensing import (
     NoiseSpec,
     ObservationSeries,
@@ -18,19 +19,21 @@ from sdeim.sensing import (
 )
 
 
-def random_orthonormal(rng, n, m):
-    q, _ = np.linalg.qr(rng.normal(size=(n, m)))
-    return q[:, :m]
-
-
 class TestSensorSelection:
     def test_rejects_duplicates(self):
         with pytest.raises(DimensionError):
             SensorSelection(5, [1, 1])
 
-    def test_rejects_out_of_range(self):
+    @pytest.mark.parametrize("indices", [[5], [-1], [0.5], [1.7], [True, False]],
+                             ids=["5", "-1", "0.5", "1.7", "bool"])
+    def test_rejects_out_of_range(self, indices):
+        # non-integer indices are out of range too: casting would pick a sensor
         with pytest.raises(DimensionError):
-            SensorSelection(5, [5])
+            SensorSelection(5, indices)
+
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionError, match="need at least one sensor index"):
+            SensorSelection(5, [])
 
     def test_csv_round_trip(self, tmp_path):
         sel = SensorSelection(9, [4, 0, 7])
@@ -48,7 +51,7 @@ class TestQdeimPlace:
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
-        basis = BasisMatrix(random_orthonormal(rng, 15, 4))
+        basis = BasisMatrix(_random_orthonormal(rng, 15, 4))
         a = qdeim_place(basis, 3)
         b = qdeim_place(basis, 3)
         assert np.array_equal(a.indices, b.indices)
@@ -85,8 +88,8 @@ def fourier_basis(n, modes):
 @pytest.mark.parametrize(
     "phi",
     [
-        random_orthonormal(np.random.default_rng(20), 15, 4),
-        random_orthonormal(np.random.default_rng(21), 500, 12),
+        _random_orthonormal(np.random.default_rng(20), 15, 4),
+        _random_orthonormal(np.random.default_rng(21), 500, 12),
         np.eye(4)[:, ::-1],
         fourier_basis(64, 10),
     ],
@@ -169,6 +172,13 @@ class TestObservationSeries:
             with pytest.raises(DimensionError):
                 ObservationSeries(np.array(times), np.zeros((len(times), 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_a_nonfinite_sample(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionError):
+                ObservationSeries([0.0, 0.1, 0.2], [[bad], [1.0], [2.0]])
+
     def test_csv_round_trip(self, tmp_path):
         t = 0.2 * np.arange(5)
         series = ObservationSeries(t, np.arange(10.0).reshape(5, 2))
@@ -190,14 +200,14 @@ class TestObservationSeries:
 class TestDeimCore:
     def test_square_core_has_empty_kernel(self):
         rng = np.random.default_rng(1)
-        basis = BasisMatrix(random_orthonormal(rng, 8, 3))
+        basis = BasisMatrix(_random_orthonormal(rng, 8, 3))
         sel = qdeim_place(basis, 3)
         core = build_deim_core(basis, sel)
         assert core.kernel_matrix.shape == (3, 0)
 
     def test_kernel_dimension_count(self):
         rng = np.random.default_rng(2)
-        basis = BasisMatrix(random_orthonormal(rng, 8, 3))
+        basis = BasisMatrix(_random_orthonormal(rng, 8, 3))
         sel = qdeim_place(basis, 1)
         core = build_deim_core(basis, sel)
         assert core.kernel_matrix.shape == (3, 2)
@@ -206,14 +216,14 @@ class TestDeimCore:
 
     def test_kernel_orthogonal_to_pinv_range(self):
         rng = np.random.default_rng(3)
-        basis = BasisMatrix(random_orthonormal(rng, 10, 5))
+        basis = BasisMatrix(_random_orthonormal(rng, 10, 5))
         sel = qdeim_place(basis, 2)
         core = build_deim_core(basis, sel)
         assert np.linalg.norm(core.kernel_matrix.T @ core.s_phi_pinv) < 1e-10
 
     def test_right_inverse_when_underdetermined(self):
         rng = np.random.default_rng(4)
-        basis = BasisMatrix(random_orthonormal(rng, 10, 6))
+        basis = BasisMatrix(_random_orthonormal(rng, 10, 6))
         sel = qdeim_place(basis, 3)
         core = build_deim_core(basis, sel)
         assert np.linalg.norm(core.s_phi @ core.s_phi_pinv - np.eye(3)) < 1e-10
@@ -230,7 +240,7 @@ class TestDeimCore:
 
     def test_prefactor_matches_pinv_norm(self):
         rng = np.random.default_rng(5)
-        basis = BasisMatrix(random_orthonormal(rng, 9, 4))
+        basis = BasisMatrix(_random_orthonormal(rng, 9, 4))
         sel = qdeim_place(basis, 2)
         core = build_deim_core(basis, sel)
         expect = np.linalg.svd(core.s_phi_pinv, compute_uv=False)[0]
@@ -240,7 +250,7 @@ class TestDeimCore:
 
     def test_one_svd_per_core(self, monkeypatch):
         rng = np.random.default_rng(6)
-        basis = BasisMatrix(random_orthonormal(rng, 30, 6))
+        basis = BasisMatrix(_random_orthonormal(rng, 30, 6))
         sel = qdeim_place(basis, 3)
         calls = []
         svd = np.linalg.svd
@@ -256,7 +266,7 @@ class TestDeimCore:
     @pytest.mark.parametrize("n", [2, 5, 6])
     def test_lifts_match_products_and_are_column_major(self, n):
         rng = np.random.default_rng(7)
-        basis = BasisMatrix(random_orthonormal(rng, 40, 5))
+        basis = BasisMatrix(_random_orthonormal(rng, 40, 5))
         idx = rng.choice(40, size=n, replace=False)
         core = build_deim_core(basis, SensorSelection(40, idx))
         phi = basis.phi
