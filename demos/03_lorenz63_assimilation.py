@@ -8,13 +8,11 @@ plain interpolation baseline stays at a large error forever.
 Runs a shortened version of the bundled lorenz63 preset (~5 s).
 """
 
-import numpy as np
+from dataclasses import replace
 
 from sdeim.experiments import load_preset, run_pipeline
 
-cfg = load_preset("lorenz63")
-cfg.train_horizon = 100.0
-cfg.test_horizon = 30.0
+cfg = replace(load_preset("lorenz63"), train_horizon=100.0, test_horizon=30.0)
 result = run_pipeline(cfg, write=False)
 
 print(f"sensor index chosen by greedy placement: {result.summary['sensor_indices']} (u2)")

@@ -10,13 +10,13 @@ stuck above fifty percent error.
 Runs a shortened version of the bundled lorenz96 preset (~10 s).
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from sdeim.experiments import load_preset, run_pipeline
 
-cfg = load_preset("lorenz96")
-cfg.train_horizon = 100.0
-cfg.test_horizon = 30.0
+cfg = replace(load_preset("lorenz96"), train_horizon=100.0, test_horizon=30.0)
 result = run_pipeline(cfg, write=False)
 
 s = result.raw_singular_values

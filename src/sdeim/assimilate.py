@@ -105,12 +105,13 @@ def _kernel_ode(rhs, lifted, pz, on_lists):
 def das_deim(core, f, series, xi0=None, dt=None):
     """Assimilate an observation series by integrating the kernel ODE.
 
-    Fixed-step RK4 with step dt (must divide the observation spacing);
-    default dt = spacing / KERNEL_SUBSTEPS. The samples are lifted to full
-    states once (u~ is affine in y) and the lifted series is interpolated
-    at stage times; at observation times it is the recorded sample itself,
-    so clean runs keep the interpolation property along the whole path.
-    The reconstruction is sdeim of the samples and the kernel path.
+    Fixed-step RK4 with step dt (positive, finite and dividing the
+    observation spacing; default spacing / KERNEL_SUBSTEPS). The samples
+    are lifted to full states once (u~ is affine in y) and the lifted
+    series is interpolated at stage times; at observation times it is the
+    recorded sample itself, so clean runs keep the interpolation property
+    along the whole path. The reconstruction is sdeim of the samples and
+    the kernel path.
 
     The kernel path is stepped by dynamics.rk4_drive on float lists if
     f.on_lists, otherwise on arrays; f.rhs is called once a stage. Every
@@ -121,6 +122,8 @@ def das_deim(core, f, series, xi0=None, dt=None):
     spacing = series.dt
     if dt is None:
         dt = spacing / KERNEL_SUBSTEPS
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     n_sub = int(round(spacing / dt))
     if n_sub < 1 or abs(n_sub * dt - spacing) > 1e-9 * spacing:
         raise ValueError(f"dt={dt} does not divide the observation spacing {spacing}")

@@ -1,11 +1,11 @@
 """Command-line harness: generate, pod, place, pipeline (aliases
-reconstruct, assimilate), properties. Each subcommand calls the stage
-functions that run_pipeline uses."""
+reconstruct, assimilate), properties. Each subcommand checks its config
+once, on the loaded values with --seed, --noise-std and --out merged in,
+and calls the stage functions that run_pipeline uses."""
 
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import linalg
@@ -22,15 +22,13 @@ from .properties import run_all
 
 
 def _load_config(args):
-    if args.config:
-        cfg = ExperimentConfig.from_json(args.config)
-    elif args.preset:
-        cfg = load_preset(args.preset)
-    else:
-        raise SystemExit("need --config or --preset")
     overrides = {"seed": args.seed, "noise_std": args.noise_std, "output_dir": args.out}
-    # replace() runs the load checks again on the overridden values
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    if args.config:
+        return ExperimentConfig.from_json(args.config, **overrides)
+    if args.preset:
+        return load_preset(args.preset, **overrides)
+    raise SystemExit("need --config or --preset")
 
 
 def _add_config_flags(sub):
@@ -46,7 +44,7 @@ def cmd_generate(args):
     cfg = _load_config(args)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, train, test = generate_trajectories(cfg)
+    train, test = generate_trajectories(cfg)
     train.to_csv(out / "train.csv")
     test.to_csv(out / "test.csv")
     print(f"wrote {out / 'train.csv'} ({train.states.shape[0]} x {train.states.shape[1]})")
@@ -58,7 +56,7 @@ def cmd_pod(args):
     cfg = _load_config(args)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, train, _ = generate_trajectories(cfg)
+    train, _ = generate_trajectories(cfg)
     _, basis = fit_basis(cfg, train)
     linalg.save_matrix_csv(out / "pod_modes.csv", basis.phi)
     linalg.save_matrix_csv(out / "singular_values.csv", basis.singular_values.reshape(-1, 1))
@@ -70,7 +68,7 @@ def cmd_place(args):
     cfg = _load_config(args)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, train, _ = generate_trajectories(cfg)
+    train, _ = generate_trajectories(cfg)
     _, basis = fit_basis(cfg, train)
     sel = place_sensors(cfg, basis)
     sel.to_csv(out / "sensors.csv")

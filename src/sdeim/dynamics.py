@@ -12,6 +12,11 @@ from .errors import DimensionError, DivergenceError
 DIVERGENCE_LIMIT = 1e8
 
 
+def _is_count(v):
+    """v is an integer >= 1 (a bool is not)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+
+
 @dataclass(frozen=True)
 class VectorField:
     """Autonomous ODE right-hand side u' = rhs(u) on R^dim; rhs takes and
@@ -29,9 +34,8 @@ class VectorField:
     on_lists: bool = field(init=False)
 
     def __post_init__(self):
-        d = self.dim
-        if not isinstance(d, numbers.Integral) or isinstance(d, bool) or d < 1:
-            raise DimensionError(f"dim must be an integer >= 1, got {d!r}")
+        if not _is_count(self.dim):
+            raise DimensionError(f"dim must be an integer >= 1, got {self.dim!r}")
         try:
             r = self.rhs([0.0] * self.dim)
         except (TypeError, AttributeError, ValueError):
@@ -203,8 +207,8 @@ def rk4_drive(rhs, x0, h, n_steps, record_every=1, t0=0.0):
 def _start(f, u0, span, dt):
     """u0 as rk4_drive steps f (a float list if f.on_lists, else an array
     of shape (f.dim,)) and the number of steps of size dt in span."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if not 0 <= span < np.inf:
         raise ValueError(f"time span must be finite and nonnegative, got {span}")
     u = np.asarray(u0, dtype=float)
@@ -216,14 +220,14 @@ def _start(f, u0, span, dt):
 def integrate(f, u0, t_end, dt, record_every=1):
     """Classical fixed-step RK4 from t=0 to t_end.
 
-    Records every record_every-th step plus the initial and final states;
-    raises DivergenceError (with the last valid time) if the state leaves
-    the finite range.
+    Records every record_every-th step (an integer >= 1) plus the initial
+    and final states; raises DivergenceError (with the last valid time) if
+    the state leaves the finite range.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    if not _is_count(record_every):
+        raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
     u, n_steps = _start(f, u0, t_end, dt)
     return Trajectory(*rk4_drive(lambda t, x: f.rhs(x), u, dt, n_steps, record_every))
 

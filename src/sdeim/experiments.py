@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 import time
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -51,8 +51,13 @@ SNAPSHOT_DT = 0.01
 FIELDS = {"lorenz63": lorenz63, "lorenz96": lorenz96, "linear": linear_field}
 
 
+def _is_number(v, kind=numbers.Real):
+    """v is an instance of kind (numbers.Real or numbers.Integral) and not a bool."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 def _finite_number(v):
-    return isinstance(v, numbers.Real) and math.isfinite(v)
+    return _is_number(v) and math.isfinite(v)
 
 
 @dataclass
@@ -78,10 +83,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if type(self.center) is not bool:
             raise ConfigError("center", f"must be true or false, got {self.center!r}")
-        for name in ("seed", "n_modes", "n_sensors", "placement_modes", "vanilla_modes"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise ConfigError(name, f"must be an integer, got {v!r}")
+        for kind, what, names in (
+                (numbers.Integral, "an integer",
+                 ("seed", "n_modes", "n_sensors", "placement_modes", "vanilla_modes")),
+                (numbers.Real, "a number",
+                 ("train_horizon", "test_horizon", "obs_dt", "spinup", "noise_std"))):
+            for name in names:
+                v = getattr(self, name)
+                if not _is_number(v, kind):
+                    raise ConfigError(name, f"must be {what}, got {v!r}")
         if self.seed < 0:
             raise ConfigError("seed", f"must be nonnegative, got {self.seed}")
         for name in ("train_horizon", "test_horizon", "obs_dt"):
@@ -90,7 +100,8 @@ class ExperimentConfig:
         for name in ("spinup", "noise_std"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(name, "must be finite and nonnegative")
-        m, dim = self.n_modes, build_field(self).dim
+        self.vector_field = build_field(self)  # the run's one field; no config key
+        m, dim = self.n_modes, self.vector_field.dim
         if not 1 <= m <= dim:
             raise ConfigError("n_modes", f"{m} is not within 1..dim={dim}")
         for name, low, k in (("n_sensors", 1, self.n_sensors),
@@ -107,6 +118,8 @@ class ExperimentConfig:
                 raise ConfigError(name, f"must be a whole multiple of {step}={size}")
         for name in ("train_ic", "test_ic"):
             ic = getattr(self, name)
+            if not isinstance(ic, Sequence):
+                raise ConfigError(name, f"must be a list of numbers, got {ic!r}")
             if len(ic) != dim:
                 raise ConfigError(name, f"length {len(ic)} is not the state dim {dim}")
             if not all(map(_finite_number, ic)):
@@ -126,9 +139,9 @@ class ExperimentConfig:
         return cls(**d)
 
     @classmethod
-    def from_json(cls, path):
+    def from_json(cls, path, **overrides):
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict({**json.load(fh), **overrides})
 
 
 def _preset_dir():
@@ -139,18 +152,18 @@ def list_presets():
     return sorted(p.stem for p in _preset_dir().glob("*.json"))
 
 
-def load_preset(name):
+def load_preset(name, **overrides):
     path = _preset_dir() / f"{name}.json"
     if not path.exists():
         raise FileNotFoundError(f"no preset named {name!r}; available: {list_presets()}")
-    return ExperimentConfig.from_json(path)
+    return ExperimentConfig.from_json(path, **overrides)
 
 
 def build_field(config):
     """FIELDS[system](**params); params that are no mapping, or a param that is
     unknown, missing, rejected or (bar linear's matrix) not a finite number,
     are a ConfigError("params")."""
-    if config.system not in FIELDS:
+    if not (isinstance(config.system, str) and config.system in FIELDS):
         raise ConfigError("system", f"unknown system {config.system!r}")
     if not isinstance(config.params, Mapping):
         raise ConfigError("params", f"must be a mapping of names to values, got {config.params!r}")
@@ -164,17 +177,17 @@ def build_field(config):
 
 
 def generate_trajectories(config):
-    """Spin up past the transient, then record the training and test
-    trajectories (training on the snapshot grid, test on the observation
-    grid)."""
-    f = build_field(config)
+    """Spin up config.vector_field past the transient, then record the
+    training and test trajectories (training on the snapshot grid, test on
+    the observation grid); returns (train, test)."""
+    f = config.vector_field
     u_tr, u_te = np.array(config.train_ic, float), np.array(config.test_ic, float)
     if config.spinup > 0:
         u_tr = advance(f, u_tr, config.spinup, SPINUP_DT)
         u_te = advance(f, u_te, config.spinup, SPINUP_DT)
     train = integrate(f, u_tr, config.train_horizon, DT, record_every=round(SNAPSHOT_DT / DT))
     test = integrate(f, u_te, config.test_horizon, DT, record_every=round(config.obs_dt / DT))
-    return f, train, test
+    return train, test
 
 
 @dataclass
@@ -228,7 +241,7 @@ def run_pipeline(config, write=True):
     write=False, emits the CSV/JSON artifacts into config.output_dir."""
     timings = {}
     with _stage(timings, "generate"):
-        f, train, test = generate_trajectories(config)
+        train, test = generate_trajectories(config)
 
     with _stage(timings, "pod"):
         mean, basis = fit_basis(config, train)
@@ -250,7 +263,7 @@ def run_pipeline(config, write=True):
             errors_vanilla[m_v] = relative_error_series(Trajectory(test.times, rec), test)
 
     with _stage(timings, "assimilate"):
-        f_est = shifted_field(f, mean) if config.center else f
+        f_est = shifted_field(config.vector_field, mean) if config.center else config.vector_field
         run = das_deim(cores[config.n_modes], f_est, observations)
         reconstruction = Trajectory(test.times, mean + run.reconstruction.states)
         errors_das = relative_error_series(reconstruction, test)

@@ -322,6 +322,14 @@ class TestDasDeim:
         with pytest.raises(ValueError):
             das_deim(core, f, series, dt=0.03)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.025, math.nan, math.inf])
+    def test_rejects_step_that_is_not_positive_and_finite(self, dt):
+        rng = np.random.default_rng(7)
+        core = _random_core(rng, 6, 4, 2)
+        series = ObservationSeries(0.1 * np.arange(5), rng.normal(size=(5, 2)))
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            das_deim(core, linear_field(-np.eye(6)), series, dt=dt)
+
 
 class TestRelativeErrorSeries:
     def _pair(self, scale):

@@ -209,10 +209,15 @@ class TestStartChecks:
         with pytest.raises(ValueError):
             advance(lorenz63(), np.ones(3), span, dt)
 
-    @pytest.mark.parametrize("dt", [-0.01, 0.0, math.nan])
+    @pytest.mark.parametrize("dt", [-0.01, 0.0, math.nan, math.inf])
     def test_integrate_rejects_bad_step(self, dt):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
             integrate(lorenz63(), np.ones(3), 1.0, dt)
+
+    @pytest.mark.parametrize("record_every", [0, -1, 2.5, 10.0, True])
+    def test_integrate_rejects_bad_record_every(self, record_every):
+        with pytest.raises(ValueError, match="record_every must be an integer >= 1"):
+            integrate(lorenz63(), np.ones(3), 1.0, 0.01, record_every=record_every)
 
     @pytest.mark.parametrize("run", [integrate, advance])
     @pytest.mark.parametrize("u0", [np.ones(4), np.ones(2), np.ones((3, 1)), 1.0],

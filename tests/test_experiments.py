@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,19 @@ def run_cli(*args):
         [sys.executable, "-m", "sdeim", *args], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def count_field_builds(monkeypatch):
+    """Wrap experiments.build_field by name, as a tracer does; returns the
+    list that gets one entry per field built."""
+    build, calls = experiments.build_field, []
+
+    def counted(config):
+        calls.append(config.system)
+        return build(config)
+
+    monkeypatch.setattr(experiments, "build_field", counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -92,14 +105,31 @@ class TestPresets:
         ("lorenz63", "n_sensors", 1.0),
         ("linear8", "placement_modes", 3.0),
         ("linear8", "vanilla_modes", True),
+        ("linear8", "train_horizon", "5"),
+        ("lorenz63", "spinup", None),
+        ("lorenz63", "obs_dt", [0.05]),
+        ("linear8", "noise_std", "0.1"),
+        ("linear8", "train_ic", 5),
+        ("linear8", "test_ic", None),
+        ("linear8", "system", ["linear"]),
+        ("lorenz63", "obs_dt", True),
+        ("linear8", "train_ic", [True] * 8),
+        ("lorenz63", "params", {"sigma": True}),
     ])
     def test_inconsistent_config_fails_at_load_naming_the_field(self, preset, field, value):
-        fields = {**load_preset(preset).__dict__, field: value}
         with pytest.raises(ConfigError) as err:
-            ExperimentConfig(**fields)
+            replace(load_preset(preset), **{field: value})
         assert err.value.field == field
 
-    @pytest.mark.parametrize("key", ["n_sensor", "transient_fraction", "kernel_substeps"])
+    @pytest.mark.parametrize("preset", list_presets())
+    def test_config_keys_are_the_dataclass_fields(self, preset):
+        # the run's field is an attribute of the config, not one of its keys
+        cfg = load_preset(preset)
+        assert list(asdict(cfg)) == [f.name for f in fields(ExperimentConfig)]
+        assert cfg.vector_field.dim == len(cfg.train_ic)
+
+    @pytest.mark.parametrize("key", ["n_sensor", "transient_fraction", "kernel_substeps",
+                                     "vector_field"])
     def test_unknown_key_fails_at_load_naming_it(self, tmp_path, key):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**asdict(load_preset("linear8")), key: 0.25}))
@@ -133,8 +163,7 @@ class TestPresets:
         assert np.array_equal(cfg.test_ic, test)
 
     def test_shortened_lorenz63_horizons_load(self):
-        fields = load_preset("lorenz63").__dict__
-        ExperimentConfig(**{**fields, "spinup": 10.0, "train_horizon": 20.0, "test_horizon": 5.0})
+        replace(load_preset("lorenz63"), spinup=10.0, train_horizon=20.0, test_horizon=5.0)
 
     def test_unknown_preset_raises(self):
         with pytest.raises(FileNotFoundError):
@@ -143,21 +172,21 @@ class TestPresets:
 
 class TestGenerate:
     def test_trajectory_shapes(self, linear_cfg):
-        _, train, test = generate_trajectories(linear_cfg)
+        train, test = generate_trajectories(linear_cfg)
         assert train.states.shape[1] == 8
         assert test.states.shape[1] == 8
         assert test.times[0] == 0.0
         assert test.times[-1] == pytest.approx(linear_cfg.test_horizon)
 
     def test_same_config_reproduces_exactly(self, linear_cfg):
-        _, train_a, _ = generate_trajectories(linear_cfg)
-        _, train_b, _ = generate_trajectories(linear_cfg)
+        train_a, _ = generate_trajectories(linear_cfg)
+        train_b, _ = generate_trajectories(linear_cfg)
         assert np.array_equal(train_a.states, train_b.states)
 
 
 class TestPipeline:
     def test_linear_pipeline_artifacts(self, tmp_path, linear_cfg):
-        cfg = ExperimentConfig(**{**linear_cfg.__dict__, "output_dir": str(tmp_path)})
+        cfg = replace(linear_cfg, output_dir=str(tmp_path))
         result = run_pipeline(cfg)
         for name in (
             "train.csv",
@@ -195,8 +224,8 @@ class TestPipeline:
         assert resid.max() < 1e-8
 
     def test_determinism_byte_identical_summaries(self, tmp_path, linear_cfg):
-        cfg_a = ExperimentConfig(**{**linear_cfg.__dict__, "output_dir": str(tmp_path / "a")})
-        cfg_b = ExperimentConfig(**{**linear_cfg.__dict__, "output_dir": str(tmp_path / "b")})
+        cfg_a = replace(linear_cfg, output_dir=str(tmp_path / "a"))
+        cfg_b = replace(linear_cfg, output_dir=str(tmp_path / "b"))
         run_pipeline(cfg_a)
         run_pipeline(cfg_b)
         bytes_a = (tmp_path / "a" / "summary.json").read_bytes()
@@ -206,9 +235,8 @@ class TestPipeline:
     def test_pass_through_rhs_keeps_lorenz63_summary_bytes(self, tmp_path, monkeypatch):
         # a call counter that wraps f.rhs (as a tracer does) must keep the
         # float-list path, so the traced run writes the same summary
-        short = {**load_preset("lorenz63").__dict__, "spinup": 2.0, "train_horizon": 5.0,
-                 "test_horizon": 2.0}
-        run_pipeline(ExperimentConfig(**{**short, "output_dir": str(tmp_path / "plain")}))
+        short = replace(load_preset("lorenz63"), spinup=2.0, train_horizon=5.0, test_horizon=2.0)
+        run_pipeline(replace(short, output_dir=str(tmp_path / "plain")))
         build, seen = experiments.build_field, []
 
         def counted_field(config):
@@ -221,16 +249,14 @@ class TestPipeline:
             return VectorField(dim=f.dim, rhs=counted, params=f.params)
 
         monkeypatch.setattr(experiments, "build_field", counted_field)
-        run_pipeline(ExperimentConfig(**{**short, "output_dir": str(tmp_path / "wrapped")}))
+        run_pipeline(replace(short, output_dir=str(tmp_path / "wrapped")))
         assert seen and set(seen) == {list}
         plain, wrapped = ((tmp_path / d / "summary.json").read_bytes() for d in ("plain", "wrapped"))
         assert wrapped == plain
 
     def test_no_kernel_pipeline_is_vanilla_deim(self, tmp_path, linear_cfg):
         # n = m: DAS-DEIM has an empty kernel and reduces to the vanilla estimate
-        cfg = ExperimentConfig(**{
-            **linear_cfg.__dict__, "n_sensors": linear_cfg.n_modes, "output_dir": str(tmp_path),
-        })
+        cfg = replace(linear_cfg, n_sensors=linear_cfg.n_modes, output_dir=str(tmp_path))
         result = run_pipeline(cfg)
         core = build_deim_core(result.basis, result.selection)
         vanilla = result.mean + result.observations.samples @ core.lift.T
@@ -244,7 +270,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("vanilla_modes, expect", [(2, [2, 4]), (4, [4])])
     def test_one_core_per_distinct_mode_count(self, monkeypatch, linear_cfg, vanilla_modes, expect):
-        cfg = ExperimentConfig(**{**linear_cfg.__dict__, "vanilla_modes": vanilla_modes})
+        cfg = replace(linear_cfg, vanilla_modes=vanilla_modes)
         calls = []
 
         def counted(basis, sel):
@@ -260,10 +286,23 @@ class TestPipeline:
         ]
 
     def test_prefactor_curve_fixed_nonincreasing(self, tmp_path, linear_cfg):
-        cfg = ExperimentConfig(**{**linear_cfg.__dict__, "output_dir": str(tmp_path)})
+        cfg = replace(linear_cfg, output_dir=str(tmp_path))
         result = run_pipeline(cfg, write=False)
         vals = [v for _, v in result.prefactors_fixed]
         assert all(vals[i + 1] <= vals[i] + 1e-9 for i in range(len(vals) - 1))
+
+
+class TestOneFieldPerRun:
+    @pytest.mark.parametrize("cmd", ["generate", "pod", "place", "pipeline"])
+    def test_one_build_per_cli_command(self, tmp_path, monkeypatch, cmd):
+        calls = count_field_builds(monkeypatch)
+        assert cli.main([cmd, "--preset", "linear8", "--seed", "3", "--out", str(tmp_path)]) == 0
+        assert calls == ["linear"]
+
+    def test_one_build_per_preset_run(self, monkeypatch):
+        calls = count_field_builds(monkeypatch)
+        run_pipeline(load_preset("linear8"), write=False)
+        assert calls == ["linear"]
 
 
 class TestCli:
@@ -316,6 +355,14 @@ class TestCli:
             main(["pipeline", "--preset", "linear8", "--noise-std", "-1", "--out", str(tmp_path)])
         assert info.value.code == (
             "pipeline failed: ConfigError: noise_std: must be finite and nonnegative")
+
+    def test_override_merged_before_the_one_check(self, tmp_path):
+        # the file's seed -1 is replaced by --seed before the config is checked
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**asdict(load_preset("linear8")), "seed": -1}))
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", "--config", str(cfg_path), "--seed", "3", "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["seed"] == 3
 
     @pytest.mark.parametrize("cmd, flags, error", [
         *(pytest.param(cmd, ["--preset", "linear8", "--noise-std", "nan"],
