@@ -22,7 +22,7 @@ from sdeim.dynamics import (
     shifted_field,
 )
 from sdeim.errors import DimensionError, DivergenceError
-from sdeim.experiments import build_field, load_preset
+from sdeim.experiments import load_preset
 
 
 def goes_bad_at_one(i, bad):
@@ -324,7 +324,7 @@ class TestKernelSets:
 
     @pytest.mark.parametrize("f", [
         linear_field(np.random.default_rng(4).normal(size=(3, 3))),
-        build_field(load_preset("linear8")),
+        load_preset("linear8").vector_field,
     ], ids=["linear3", "linear8"])
     def test_linear_field_is_probed_once_then_steps_on_arrays(self, f):
         # a @ u maps a list to an array: the one list call is the probe when
