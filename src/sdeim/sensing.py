@@ -92,11 +92,12 @@ def qdeim_place(basis, n):
 
 
 def observe(u, sel):
-    """y = S^T u: pick the sensed components."""
+    """y = S^T u: pick the sensed components, as a fresh array (fancy
+    indexing copies, so y shares no memory with u)."""
     u = np.asarray(u, dtype=float)
     if u.shape != (sel.n_state,):
         raise DimensionError(f"state length {u.shape} does not match N={sel.n_state}")
-    return u[sel.indices].copy()
+    return u[sel.indices]
 
 
 def observe_trajectory(times, states, sel):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from operator import mul
 
 import numpy as np
@@ -11,6 +12,7 @@ from sdeim.assimilate import (
     interpolate_obs,
     kernel_rhs,
     one_sided_lipschitz_linear,
+    post_transient,
     post_transient_mean,
     relative_error_series,
 )
@@ -24,6 +26,7 @@ from sdeim.dynamics import (
     shifted_field,
 )
 from sdeim.errors import DimensionError, DivergenceError, ObservationRangeError
+from sdeim.experiments import load_preset, run_pipeline
 from sdeim.pod import BasisMatrix, compute_pod
 from sdeim.properties import _random_core, _random_orthonormal
 from sdeim.reconstruct import vanilla_deim
@@ -329,6 +332,36 @@ class TestDasDeim:
         series = ObservationSeries(0.1 * np.arange(5), rng.normal(size=(5, 2)))
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             das_deim(core, linear_field(-np.eye(6)), series, dt=dt)
+
+
+class TestKernelSubsteps:
+    """How far das_deim's error summary moves when the kernel ODE's step
+    is halved, from KERNEL_SUBSTEPS substeps per observation interval to
+    twice that, on shortened lorenz63 and lorenz96 runs.
+
+    A guard for cutting KERNEL_SUBSTEPS. On the full presets, 5 against
+    10 substeps moved the post-transient DAS-DEIM mean or min by at most
+    5.3e-5 relative (lorenz96's min), 2 against 4 by 2.0e-3, and 5
+    against 20 moved every preset's mean by at most 8e-8.
+    """
+
+    @pytest.mark.parametrize("preset, spans", [
+        ("lorenz63", dict(spinup=5.0, train_horizon=10.0, test_horizon=3.0)),
+        ("lorenz96", dict(spinup=50.0, train_horizon=20.0, test_horizon=10.0)),
+    ])
+    def test_halving_the_step_moves_the_summary_below_1e_4(self, preset, spans):
+        config = replace(load_preset(preset), **spans)
+        result = run_pipeline(config, write=False)  # das_deim at KERNEL_SUBSTEPS
+        f = shifted_field(config.vector_field, result.mean)
+        series = result.observations
+        run = das_deim(build_deim_core(result.basis, result.selection), f, series,
+                       dt=series.dt / (2 * assimilate.KERNEL_SUBSTEPS))
+        errors = relative_error_series(
+            Trajectory(series.times, result.mean + run.reconstruction.states), result.test)
+        s = result.summary
+        for coarse, fine in ((s["dasdeim_post_transient_mean"], post_transient_mean(errors)),
+                             (s["dasdeim_post_transient_min"], np.nanmin(post_transient(errors)))):
+            assert abs(fine - coarse) <= 1e-4 * abs(coarse)
 
 
 class TestRelativeErrorSeries:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,8 @@ class TestVanillaDeim:
     def test_dimension_check(self):
         rng = np.random.default_rng(2)
         core = _random_core(rng, 9, 5, 2)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=re.escape(
+                "observations of shape (3,) are not (n,) or (K, n) with n=2")):
             vanilla_deim(core, np.ones(3))
 
 
@@ -70,18 +73,27 @@ class TestSdeim:
         core = _random_core(rng, 10, 6, 2)
         y, xi = rng.normal(size=(5, 2)), rng.normal(size=(5, core.kernel_dim))
         for estimate in (vanilla_deim, sdeim):
-            with pytest.raises(DimensionError):
+            with pytest.raises(DimensionError, match=re.escape(
+                    "observations of shape (1, 5, 2) are not (n,) or (K, n) with n=2")):
                 estimate(core, y[None])
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=re.escape(
+                "kernel coordinates of shape (6, 4) are not (5, 4)")):
             sdeim(core, y, rng.normal(size=(6, core.kernel_dim)))
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=re.escape(
+                "kernel coordinates of shape (4,) are not (5, 4)")):
             sdeim(core, y, xi[0])
         # a kernel vector z = Z xi as a raw m-vector is not its coordinates
         z = core.kernel_matrix @ xi[0]
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=re.escape(
+                "kernel coordinates of shape (6,) are not (4,)")):
             sdeim(core, y[0], z)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=re.escape(
+                "kernel coordinates of shape (6,) are not (4,)")):
             error_report(core, rng.normal(size=10), z)
+        for oracle in (optimal_kernel, error_report):
+            with pytest.raises(DimensionError, match=re.escape(
+                    "state length (9,) does not match N=10")):
+                oracle(core, rng.normal(size=9))
 
 
 class TestBlocks:
@@ -101,6 +113,24 @@ class TestBlocks:
         for rec in (vanilla, shifted):
             assert np.max(np.abs(rec[:, core.selection.indices] - y)) < 1e-10
         assert np.array_equal(sdeim(core, y), vanilla)
+
+
+class TestProductBits:
+    """Each estimator is its product with a stored lift, bit for bit."""
+
+    @pytest.mark.parametrize("n_state, m, n", [(12, 6, 2), (40, 8, 8), (3, 3, 1), (3, 1, 1)])
+    @pytest.mark.parametrize("lead", [(), (7,)])
+    def test_estimates_equal_their_products(self, n_state, m, n, lead):
+        rng = np.random.default_rng(27)
+        core = _random_core(rng, n_state, m, n)
+        y = rng.normal(size=lead + (n,))
+        xi = rng.normal(size=lead + (core.kernel_dim,))
+        expected = y @ core.lift.T
+        assert np.array_equal(vanilla_deim(core, y), expected)
+        expected += xi @ core.kernel_lift.T
+        assert np.array_equal(sdeim(core, y, xi), expected)
+        u = rng.normal(size=n_state)
+        assert np.array_equal(optimal_kernel(core, u), core.kernel_lift.T @ u)
 
 
 class TestOptimalKernel:

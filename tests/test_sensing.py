@@ -120,6 +120,18 @@ class TestObserveScatter:
         u = np.array([10.0, 20.0, 30.0, 40.0])
         assert np.array_equal(observe(u, sel), [30.0, 10.0])
 
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_result_is_a_fresh_copy(self, strided):
+        # a 1-D state, or a column of a C-order snapshot matrix (a strided view)
+        snapshots = np.arange(15.0).reshape(5, 3)
+        u = snapshots[:, 1] if strided else snapshots[1].copy()
+        assert u.flags.c_contiguous != strided
+        before = u.copy()
+        y = observe(u, SensorSelection(u.size, [2, 0]))
+        assert not np.shares_memory(y, u)
+        y[:] = -1.0
+        assert np.array_equal(u, before)
+
 
 class TestAddNoise:
     def _series(self, k=64, n=2):
