@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import Trajectory, rk4_drive
+from .dynamics import Trajectory, rk4_drive, whole_steps
 from .errors import DimensionError, ObservationRangeError
 from .reconstruct import _check_xi, sdeim, vanilla_deim
 from .sensing import ObservationSeries
@@ -105,13 +105,13 @@ def _kernel_ode(rhs, lifted, pz, on_lists):
 def das_deim(core, f, series, xi0=None, dt=None):
     """Assimilate an observation series by integrating the kernel ODE.
 
-    Fixed-step RK4 with step dt (positive, finite and dividing the
-    observation spacing; default spacing / KERNEL_SUBSTEPS). The samples
-    are lifted to full states once (u~ is affine in y) and the lifted
-    series is interpolated at stage times; at observation times it is the
-    recorded sample itself, so clean runs keep the interpolation property
-    along the whole path. The reconstruction is sdeim of the samples and
-    the kernel path.
+    Fixed-step RK4 with step dt (default spacing / KERNEL_SUBSTEPS); the
+    observation spacing must be a whole number of steps dt (whole_steps).
+    The samples are lifted to full states once (u~ is affine in y) and the
+    lifted series is interpolated at stage times; at observation times it
+    is the recorded sample itself, so clean runs keep the interpolation
+    property along the whole path. The reconstruction is sdeim of the
+    samples and the kernel path.
 
     The kernel path is stepped by dynamics.rk4_drive on float lists if
     f.on_lists, otherwise on arrays; f.rhs is called once a stage. Every
@@ -122,11 +122,7 @@ def das_deim(core, f, series, xi0=None, dt=None):
     spacing = series.dt
     if dt is None:
         dt = spacing / KERNEL_SUBSTEPS
-    if not 0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    n_sub = int(round(spacing / dt))
-    if n_sub < 1 or abs(n_sub * dt - spacing) > 1e-9 * spacing:
-        raise ValueError(f"dt={dt} does not divide the observation spacing {spacing}")
+    n_sub = whole_steps(spacing, dt)
     xi0 = _check_xi(core, xi0, ())
     times = series.times
     lifted = ObservationSeries(times, vanilla_deim(core, series.samples))

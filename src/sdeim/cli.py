@@ -1,7 +1,9 @@
 """Command-line harness: generate, pod, place, pipeline (aliases
-reconstruct, assimilate), properties. Each subcommand checks its config
-once, on the loaded values with --seed, --noise-std and --out merged in,
-and calls the stage functions that run_pipeline uses."""
+reconstruct, assimilate), properties. Each subcommand takes its config
+from exactly one of --config and --preset and checks it once, on the
+loaded values with --seed, --noise-std and --out merged in. generate,
+pod and place are one command: run_pipeline's first stages, timed by its
+_stage, so a failure names its stage as the pipeline's does."""
 
 import argparse
 import json
@@ -11,6 +13,7 @@ from pathlib import Path
 from . import linalg
 from .experiments import (
     ExperimentConfig,
+    _stage,
     fit_basis,
     generate_trajectories,
     list_presets,
@@ -24,53 +27,44 @@ from .properties import run_all
 def _load_config(args):
     overrides = {"seed": args.seed, "noise_std": args.noise_std, "output_dir": args.out}
     overrides = {k: v for k, v in overrides.items() if v is not None}
-    if args.config:
+    if args.config is not None:
         return ExperimentConfig.from_json(args.config, **overrides)
-    if args.preset:
-        return load_preset(args.preset, **overrides)
-    raise SystemExit("need --config or --preset")
+    return load_preset(args.preset, **overrides)
 
 
 def _add_config_flags(sub):
-    sub.add_argument("--config", help="path to a JSON experiment config")
-    sub.add_argument("--preset", help=f"bundled preset; one of {', '.join(list_presets())}")
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="path to a JSON experiment config")
+    source.add_argument("--preset", help=f"bundled preset; one of {', '.join(list_presets())}")
     sub.add_argument("--seed", type=int, default=None, help="override the noise seed")
     sub.add_argument("--noise-std", dest="noise_std", type=float, default=None,
                      help="override the observation noise standard deviation")
     sub.add_argument("--out", default=None, help="output directory")
 
 
-def cmd_generate(args):
+def cmd_stages(args):
+    """generate, pod and place: the pipeline's first stages, each under its
+    stage timer, up to the one the command names; writes that stage's files."""
     cfg = _load_config(args)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train, test = generate_trajectories(cfg)
-    train.to_csv(out / "train.csv")
-    test.to_csv(out / "test.csv")
-    print(f"wrote {out / 'train.csv'} ({train.states.shape[0]} x {train.states.shape[1]})")
-    print(f"wrote {out / 'test.csv'} ({test.states.shape[0]} x {test.states.shape[1]})")
-    return 0
-
-
-def cmd_pod(args):
-    cfg = _load_config(args)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    train, _ = generate_trajectories(cfg)
-    _, basis = fit_basis(cfg, train)
-    linalg.save_matrix_csv(out / "pod_modes.csv", basis.phi)
-    linalg.save_matrix_csv(out / "singular_values.csv", basis.singular_values.reshape(-1, 1))
-    print(f"wrote {out / 'pod_modes.csv'} and {out / 'singular_values.csv'}")
-    return 0
-
-
-def cmd_place(args):
-    cfg = _load_config(args)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    train, _ = generate_trajectories(cfg)
-    _, basis = fit_basis(cfg, train)
-    sel = place_sensors(cfg, basis)
+    timings = {}
+    with _stage(timings, "generate"):
+        train, test = generate_trajectories(cfg)
+    if args.command == "generate":
+        for name, traj in (("train.csv", train), ("test.csv", test)):
+            traj.to_csv(out / name)
+            print(f"wrote {out / name} ({traj.states.shape[0]} x {traj.states.shape[1]})")
+        return 0
+    with _stage(timings, "pod"):
+        _, basis = fit_basis(cfg, train)
+    if args.command == "pod":
+        linalg.save_matrix_csv(out / "pod_modes.csv", basis.phi)
+        linalg.save_matrix_csv(out / "singular_values.csv", basis.singular_values.reshape(-1, 1))
+        print(f"wrote {out / 'pod_modes.csv'} and {out / 'singular_values.csv'}")
+        return 0
+    with _stage(timings, "place"):
+        sel = place_sensors(cfg, basis)
     sel.to_csv(out / "sensors.csv")
     print(f"sensor indices: {[int(i) for i in sel.indices]}")
     return 0
@@ -116,9 +110,9 @@ def main(argv=None):
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, fn, desc, aliases in [
-        ("generate", cmd_generate, "write train/test trajectories", []),
-        ("pod", cmd_pod, "extract the basis and singular values", []),
-        ("place", cmd_place, "greedy sensor placement", []),
+        ("generate", cmd_stages, "write train/test trajectories", []),
+        ("pod", cmd_stages, "extract the basis and singular values", []),
+        ("place", cmd_stages, "greedy sensor placement", []),
         ("pipeline", cmd_pipeline, "full experiment with summary.json: interpolation "
          "baseline and kernel-ODE assimilation", ["reconstruct", "assimilate"]),
     ]:

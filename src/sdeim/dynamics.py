@@ -204,21 +204,35 @@ def rk4_drive(rhs, x0, h, n_steps, record_every=1, t0=0.0):
     return t0 + h * np.array(steps), states
 
 
-def _start(f, u0, span, dt):
-    """u0 as rk4_drive steps f (a float list if f.on_lists, else an array
-    of shape (f.dim,)) and the number of steps of size dt in span."""
+def whole_steps(span, dt):
+    """The number of steps of size dt in span, round(span / dt), which must
+    be whole to 1e-9 relative: a span of 1.05 at dt = 0.1, or a nonzero
+    span shorter than half a step, is a ValueError, not a rounded count.
+    dt must be positive and finite, span finite and nonnegative."""
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not 0 <= span < np.inf:
         raise ValueError(f"time span must be finite and nonnegative, got {span}")
+    ratio = span / dt
+    n = int(round(ratio))
+    if abs(ratio - n) > 1e-9 * n:
+        raise ValueError(f"time span {span} is not a whole number of steps dt={dt}")
+    return n
+
+
+def _start(f, u0, span, dt):
+    """u0 as rk4_drive steps f (a float list if f.on_lists, else an array
+    of shape (f.dim,)) and whole_steps(span, dt)."""
+    n_steps = whole_steps(span, dt)
     u = np.asarray(u0, dtype=float)
     if u.shape != (f.dim,):
         raise DimensionError(f"initial state length {u.shape} does not match dim {f.dim}")
-    return (u.tolist() if f.on_lists else u), int(round(span / dt))
+    return (u.tolist() if f.on_lists else u), n_steps
 
 
 def integrate(f, u0, t_end, dt, record_every=1):
-    """Classical fixed-step RK4 from t=0 to t_end.
+    """Classical fixed-step RK4 from t=0 to t_end, a whole number of
+    steps dt (whole_steps).
 
     Records every record_every-th step (an integer >= 1) plus the initial
     and final states; raises DivergenceError (with the last valid time) if
@@ -233,6 +247,7 @@ def integrate(f, u0, t_end, dt, record_every=1):
 
 
 def advance(f, u0, t_span, dt):
-    """Endpoint state only (spin-up helper; nothing recorded)."""
+    """Endpoint state after t_span, a whole number of steps dt
+    (whole_steps); spin-up helper, nothing recorded."""
     u, n_steps = _start(f, u0, t_span, dt)
     return rk4_drive(lambda t, x: f.rhs(x), u, dt, n_steps, max(n_steps, 1))[1][-1]

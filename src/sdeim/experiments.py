@@ -27,7 +27,8 @@ import numpy as np
 from . import linalg
 from .assimilate import (KERNEL_SUBSTEPS, das_deim, post_transient, post_transient_mean,
                          relative_error_series)
-from .dynamics import Trajectory, advance, integrate, linear_field, lorenz63, lorenz96, shifted_field
+from .dynamics import (Trajectory, advance, integrate, linear_field, lorenz63, lorenz96,
+                       shifted_field, whole_steps)
 from .errors import ConfigError
 from .pod import BasisMatrix, compute_pod, singular_values
 from .reconstruct import prefactor_curve, vanilla_deim
@@ -109,13 +110,16 @@ class ExperimentConfig:
                              ("vanilla_modes", 1, self.vanilla_modes or m)):
             if not low <= k <= m:
                 raise ConfigError(name, f"{getattr(self, name)} is not within {low}..n_modes={m}")
-        # uniform recorded grids: each spacing or span a whole number of steps
-        for name, step, size in (("obs_dt", "DT", DT), ("spinup", "SPINUP_DT", SPINUP_DT),
-                                 ("test_horizon", "obs_dt", self.obs_dt)):
-            ratio = getattr(self, name) / size
-            n = round(ratio)
-            if ratio > 0 and (n < 1 or abs(ratio - n) > 1e-9 * n):
-                raise ConfigError(name, f"must be a whole multiple of {step}={size}")
+        # uniform recorded grids: each spacing or span the run steps a whole
+        # number of steps, so generate_trajectories cannot fail whole_steps
+        for name, step, size in (("obs_dt", "DT", DT), ("train_horizon", "DT", DT),
+                                 ("test_horizon", "DT", DT),
+                                 ("test_horizon", "obs_dt", self.obs_dt),
+                                 ("spinup", "SPINUP_DT", SPINUP_DT)):
+            try:
+                whole_steps(getattr(self, name), size)
+            except ValueError:
+                raise ConfigError(name, f"must be a whole multiple of {step}={size}") from None
         for name in ("train_ic", "test_ic"):
             ic = getattr(self, name)
             if not isinstance(ic, Sequence):
@@ -185,8 +189,8 @@ def generate_trajectories(config):
     if config.spinup > 0:
         u_tr = advance(f, u_tr, config.spinup, SPINUP_DT)
         u_te = advance(f, u_te, config.spinup, SPINUP_DT)
-    train = integrate(f, u_tr, config.train_horizon, DT, record_every=round(SNAPSHOT_DT / DT))
-    test = integrate(f, u_te, config.test_horizon, DT, record_every=round(config.obs_dt / DT))
+    train = integrate(f, u_tr, config.train_horizon, DT, record_every=whole_steps(SNAPSHOT_DT, DT))
+    test = integrate(f, u_te, config.test_horizon, DT, record_every=whole_steps(config.obs_dt, DT))
     return train, test
 
 

@@ -8,6 +8,7 @@ interpolation estimate; a well-chosen kernel vector removes the in-range
 error component the sensors cannot see.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,11 +131,20 @@ def prefactor_curve(basis_full, n, m_range, replace_sensors=False):
     Sensors are placed once from the smallest-m sub-basis and held fixed
     (nonincreasing values by singular-value interlacing); with
     replace_sensors=True they are re-placed per m instead, which carries
-    no monotonicity guarantee.
+    no monotonicity guarantee. Every m must be an integer in n..n_modes:
+    an empty or non-integer m_range, or an m < n, is a DimensionError, and
+    an m > n_modes the RankError of basis_full.leading(m).
     """
+    m_range = list(m_range)
+    if not m_range:
+        raise DimensionError("prefactor curve needs at least one mode count")
+    if not all(isinstance(m, numbers.Integral) and not isinstance(m, bool) for m in m_range):
+        raise DimensionError(f"mode counts must be integers, got {m_range}")
     m_range = [int(m) for m in m_range]
     if any(m < n for m in m_range):
         raise DimensionError("prefactor curve needs m >= n throughout")
+    if max(m_range) > basis_full.n_modes:
+        basis_full.leading(max(m_range))  # raises leading's RankError before any placement
     sel = qdeim_place(basis_full.leading(min(m_range)), n)
     out = []
     for m in m_range:
@@ -149,8 +159,11 @@ def prefactor_curve(basis_full, n, m_range, replace_sensors=False):
 def two_stage_sdeim(basis, sel1, sel2, y1, y2):
     """Reconstruct from a first sensor batch, then fit the kernel vector
     to a withheld second batch (minimum-norm fit). Equivalent to the plain
-    estimate using all sensors at once. y2 must have shape (sel2.n,), and
-    no sensor may be in both batches (DimensionError)."""
+    estimate using all sensors at once. Both selections must be over the
+    basis' N states, y2 must have shape (sel2.n,), and no sensor may be in
+    both batches (DimensionError)."""
+    if sel2.n_state != basis.dim:
+        raise DimensionError("selection and basis dimension mismatch")
     core1 = build_deim_core(basis, sel1)
     y1 = np.asarray(y1, dtype=float)
     if y1.shape != (sel1.n,):

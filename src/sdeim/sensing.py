@@ -101,8 +101,11 @@ def observe(u, sel):
 
 
 def observe_trajectory(times, states, sel):
-    """Sample a trajectory at the sensor indices into an ObservationSeries."""
+    """Sample a trajectory, states (K, N) with N = sel.n_state, at the
+    sensor indices into an ObservationSeries."""
     states = np.asarray(states, dtype=float)
+    if states.shape[1:] != (sel.n_state,):
+        raise DimensionError(f"state length {states.shape[1:]} does not match N={sel.n_state}")
     return ObservationSeries(np.asarray(times, dtype=float), states[:, sel.indices])
 
 

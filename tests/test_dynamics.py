@@ -226,6 +226,13 @@ class TestStartChecks:
         with pytest.raises(DimensionError):
             run(lorenz63(), u0, 1.0, 0.01)
 
+    @pytest.mark.parametrize("run", [integrate, advance])
+    @pytest.mark.parametrize("span, dt", [(1.05, 0.1), (0.04, 0.1)])
+    def test_span_not_a_whole_number_of_steps_rejected(self, run, span, dt):
+        # not rounded to 10 steps, or to none
+        with pytest.raises(ValueError, match=f"time span {span} is not a whole number of steps"):
+            run(lorenz63(), np.ones(3), span, dt)
+
     def test_advance_by_zero_returns_the_state(self):
         u0 = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(advance(lorenz63(), u0, 0.0, 0.01), u0)

@@ -10,7 +10,7 @@ import pytest
 
 from sdeim import cli, experiments, reconstruct
 from sdeim.dynamics import VectorField
-from sdeim.errors import ConfigError, DivergenceError
+from sdeim.errors import ConfigError, DivergenceError, RankError
 from sdeim.experiments import (
     ExperimentConfig,
     config_to_json,
@@ -115,6 +115,7 @@ class TestPresets:
         ("lorenz63", "obs_dt", True),
         ("linear8", "train_ic", [True] * 8),
         ("lorenz63", "params", {"sigma": True}),
+        ("linear8", "train_horizon", 20.0005),
     ])
     def test_inconsistent_config_fails_at_load_naming_the_field(self, preset, field, value):
         with pytest.raises(ConfigError) as err:
@@ -382,8 +383,7 @@ class TestCli:
         assert info.value.code == f"{cmd} failed: ConfigError: {error}"
 
     def test_config_file_flag(self, tmp_path):
-        cfg = load_preset("linear8")
-        cfg.output_dir = str(tmp_path)
+        cfg = replace(load_preset("linear8"), output_dir=str(tmp_path))
         cfg_path = tmp_path / "cfg.json"
         config_to_json(cfg, cfg_path)
         proc = run_cli("pipeline", "--config", str(cfg_path))
@@ -403,22 +403,37 @@ class TestCli:
             main(["pipeline", "--config", str(cfg_path)])
         assert str(info.value.code).startswith("pipeline failed: DivergenceError: ")
 
-    def test_pipeline_failure_names_the_stage(self, tmp_path, linear_cfg):
-        from sdeim.cli import main
-
+    @pytest.mark.parametrize("cmd, broken, stage", [
+        *((cmd, "diverging", "generate") for cmd in ("generate", "pod", "place", "pipeline")),
+        *((cmd, "rank2", "pod") for cmd in ("pod", "place", "pipeline")),
+    ])
+    def test_pipeline_failure_names_the_stage(self, tmp_path, linear_cfg, cmd, broken, stage):
+        # a field that diverges at t=0.369, or training snapshots of rank 2 < n_modes
+        change, error = {
+            "diverging": ({"params": {"matrix": (50.0 * np.eye(8)).tolist()}}, DivergenceError),
+            "rank2": ({"train_ic": [1.0, 0.5] + [0.0] * 6}, RankError),
+        }[broken]
         cfg = ExperimentConfig.from_dict({
-            **asdict(linear_cfg),
-            "params": {"matrix": (50.0 * np.eye(8)).tolist()},
-            "output_dir": str(tmp_path),
+            **asdict(linear_cfg), **change, "output_dir": str(tmp_path),
         })
-        with pytest.raises(DivergenceError) as err:
+        with pytest.raises(error) as err:
             run_pipeline(cfg, write=False)
-        assert err.value.stage == "generate"
+        assert err.value.stage == stage
         cfg_path = tmp_path / "cfg.json"
         config_to_json(cfg, cfg_path)
         with pytest.raises(SystemExit) as info:
-            main(["pipeline", "--config", str(cfg_path)])
-        assert str(info.value.code).endswith(" (stage: generate)")
+            cli.main([cmd, "--config", str(cfg_path)])
+        assert info.value.code == (
+            f"{cmd} failed: {type(err.value).__name__}: {err.value} (stage: {stage})")
+
+    @pytest.mark.parametrize("source", [["--config", "cfg.json", "--preset", "linear8"], []],
+                             ids=["both", "neither"])
+    @pytest.mark.parametrize("cmd", ["generate", "pod", "place", "pipeline"])
+    def test_config_source_is_exactly_one_flag(self, capsys, cmd, source):
+        with pytest.raises(SystemExit) as info:
+            cli.main([cmd, *source])
+        assert info.value.code == 2
+        assert "--config" in capsys.readouterr().err
 
 
 class TestPropertiesCommand:

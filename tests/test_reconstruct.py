@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdeim import reconstruct
-from sdeim.errors import AssumptionError, DimensionError
+from sdeim.errors import AssumptionError, DimensionError, RankError
 from sdeim.pod import BasisMatrix
 from sdeim.properties import _random_core, _random_orthonormal
 from sdeim.reconstruct import (
@@ -219,6 +219,23 @@ class TestPrefactorCurve:
             prefactor_curve(basis, 3, [2, 3])
 
     @pytest.mark.parametrize("replace", [False, True])
+    @pytest.mark.parametrize("m_range, error, message", [
+        ([2, 3, 4, 5, 6], RankError, r"m=6 outside 1\.\.4"),
+        ([], DimensionError, "at least one mode count"),
+        ([2, 2.9], DimensionError, "mode counts must be integers"),
+    ], ids=["beyond-the-basis", "empty", "non-integer"])
+    def test_bad_mode_counts_rejected_before_placement(self, monkeypatch, replace, m_range,
+                                                       error, message):
+        # not truncated to the basis' 4 modes, nor min() of nothing, nor 2.9 cast to 2
+        rng = np.random.default_rng(26)
+        basis = BasisMatrix(_random_orthonormal(rng, 9, 4))
+        placed = []
+        monkeypatch.setattr(reconstruct, "qdeim_place", lambda b, n: placed.append(n))
+        with pytest.raises(error, match=message):
+            prefactor_curve(basis, 2, m_range, replace_sensors=replace)
+        assert placed == []
+
+    @pytest.mark.parametrize("replace", [False, True])
     def test_matches_core_prefactor_without_building_cores(self, monkeypatch, replace):
         rng = np.random.default_rng(22)
         basis = BasisMatrix(_random_orthonormal(rng, 30, 8))
@@ -252,6 +269,13 @@ class TestTwoStage:
         sel1 = SensorSelection(10, [0, 3])
         with pytest.raises(DimensionError, match="second observation batch"):
             two_stage_sdeim(basis, sel1, SensorSelection(10, [7, 9]), np.ones(2), y2)
+
+    def test_second_selection_over_another_state_rejected(self):
+        rng = np.random.default_rng(27)
+        basis = BasisMatrix(_random_orthonormal(rng, 10, 6))
+        with pytest.raises(DimensionError, match="selection and basis dimension mismatch"):
+            two_stage_sdeim(basis, SensorSelection(10, [0, 3]), SensorSelection(50, [7, 9]),
+                            np.ones(2), np.ones(2))
 
     def test_matches_single_stage_with_all_sensors(self):
         rng = np.random.default_rng(19)

@@ -208,6 +208,13 @@ class TestObservationSeries:
         assert np.array_equal(series.samples[:, 0], states[:, 2])
         assert np.array_equal(series.samples[:, 1], states[:, 0])
 
+    @pytest.mark.parametrize("width", [5, 1])
+    def test_observe_trajectory_rejects_another_state_length(self, width):
+        # neither samples of a 5-state block nor an IndexError on a 1-state one
+        sel = SensorSelection(3, [2, 0])
+        with pytest.raises(DimensionError, match=rf"state length \({width},\) does not match N=3"):
+            observe_trajectory(0.1 * np.arange(4), np.ones((4, width)), sel)
+
 
 class TestDeimCore:
     def test_square_core_has_empty_kernel(self):
