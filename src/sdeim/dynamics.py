@@ -12,11 +12,6 @@ from .errors import DimensionError, DivergenceError
 DIVERGENCE_LIMIT = 1e8
 
 
-def _is_count(v):
-    """v is an integer >= 1 (a bool is not)."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
-
-
 @dataclass(frozen=True)
 class VectorField:
     """Autonomous ODE right-hand side u' = rhs(u) on R^dim; rhs takes and
@@ -34,8 +29,7 @@ class VectorField:
     on_lists: bool = field(init=False)
 
     def __post_init__(self):
-        if not _is_count(self.dim):
-            raise DimensionError(f"dim must be an integer >= 1, got {self.dim!r}")
+        linalg.check_count(self.dim, "dim")
         try:
             r = self.rhs([0.0] * self.dim)
         except (TypeError, AttributeError, ValueError):
@@ -234,14 +228,14 @@ def integrate(f, u0, t_end, dt, record_every=1):
     """Classical fixed-step RK4 from t=0 to t_end, a whole number of
     steps dt (whole_steps).
 
-    Records every record_every-th step (an integer >= 1) plus the initial
-    and final states; raises DivergenceError (with the last valid time) if
-    the state leaves the finite range.
+    Records every record_every-th step (an integer >= 1, else
+    DimensionError) plus the initial and final states; raises
+    DivergenceError (with the last valid time) if the state leaves the
+    finite range.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    if not _is_count(record_every):
-        raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
+    linalg.check_count(record_every, "record_every")
     u, n_steps = _start(f, u0, t_end, dt)
     return Trajectory(*rk4_drive(lambda t, x: f.rhs(x), u, dt, n_steps, record_every))
 

@@ -5,6 +5,7 @@ LAPACK route; only the greedy column-pivot order is hand-rolled, so that
 it and its tie-breaking are fully specified.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,14 @@ def _as_matrix(a, name="matrix"):
     if not np.all(np.isfinite(a)):
         raise DimensionError(f"{name} contains non-finite entries")
     return a
+
+
+def check_count(v, name):
+    """The one rule for counts (modes, sensors, dimensions, strides): a
+    DimensionError naming `name` unless v is an integer >= 1 (a bool is
+    not)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+        raise DimensionError(f"{name} must be an integer >= 1, got {v!r}")
 
 
 def _as_record(times, values, name):
@@ -107,7 +116,8 @@ def column_pivots(a, n):
     """The first n entries of qr_column_pivot(a).perm, bit for bit, from
     only the first min(n, rows, cols) steps of the same loop."""
     a = _as_matrix(a, "qr input")
-    if not 1 <= n <= a.shape[1]:
+    check_count(n, "n")
+    if n > a.shape[1]:
         raise DimensionError(f"n={n} outside 1..{a.shape[1]}")
     return _householder_pivot(a, min(n, *a.shape))[:n].copy()
 

@@ -9,6 +9,11 @@ from .errors import DimensionError, RankError
 
 ORTHONORMALITY_TOL = 1e-10
 
+# _tall_r hands numpy's QR blocks of at most this many entries (8 MiB of
+# float64), or of 2 K rows when K is too wide for that, so that each level
+# at least halves the rows.
+QR_BLOCK_ENTRIES = 2**20
+
 
 @dataclass(frozen=True)
 class BasisMatrix:
@@ -41,17 +46,31 @@ class BasisMatrix:
         return self.phi.shape[1]
 
     def leading(self, m):
-        """Sub-basis of the first m modes (same spectrum)."""
-        if not 1 <= m <= self.n_modes:
+        """Sub-basis of the first m modes (same spectrum); m must be an
+        integer >= 1 (DimensionError) and at most n_modes (RankError)."""
+        linalg.check_count(m, "m")
+        if m > self.n_modes:
             raise RankError(f"m={m} outside 1..{self.n_modes}")
         return BasisMatrix(self.phi[:, :m].copy(), self.singular_values)
 
 
 def _tall_r(x):
-    """R factor of the tall orientation of x (x^T when N <= K): a square
-    of order min(N, K) with the singular values of x, from one Householder
-    QR that forms no Q."""
-    return np.linalg.qr(x.T if x.shape[0] <= x.shape[1] else x, mode="r")
+    """R factor of the tall orientation t of x (x^T when N <= K, else x):
+    a square of order min(N, K) with the singular values of x, from
+    Householder QRs that form no Q.
+
+    Blocks have max(QR_BLOCK_ENTRIES // K, 2 K) rows. A t of at most one
+    block (every t of at most QR_BLOCK_ENTRIES entries) is factored whole.
+    A taller one is factored block by block; the stacked R factors have
+    the same R^T R as t, and the stack is factored the same way (TSQR).
+    Each level at least halves the rows, and numpy's QR copies only the
+    block it factors, so at no time is there a second copy of t.
+    """
+    t = x.T if x.shape[0] <= x.shape[1] else x
+    step = max(QR_BLOCK_ENTRIES // t.shape[1], 2 * t.shape[1])
+    while t.shape[0] > step:
+        t = np.vstack([np.linalg.qr(t[i:i + step], mode="r") for i in range(0, t.shape[0], step)])
+    return np.linalg.qr(t, mode="r")
 
 
 def singular_values(snapshots):
@@ -62,21 +81,24 @@ def singular_values(snapshots):
 def compute_pod(snapshots, m):
     """Leading m left singular vectors of the N x K snapshot matrix (one
     state per column), as given (no mean subtraction). singular_values
-    carries the full spectrum.
+    carries the full spectrum. m must be an integer >= 1 (DimensionError)
+    and at most the numerical rank of x (RankError, naming the rank).
 
-    Only the small R factor of the tall orientation is decomposed, so no
-    N x K singular-vector matrix is formed. Wide x (N <= K) is R^T Q^T,
-    so the left singular vectors of the N x N R^T are those of x. Tall x
-    is Q R, so the left singular vectors V of the K x K R^T are the right
-    ones of x, and Phi is the thin-QR orthonormalisation of x V[:, :m]
-    (signs fixed so its R has a positive diagonal): orthonormal to
-    rounding even when sigma_m is near the rank tolerance, where
+    Only the small R factor of the tall orientation (_tall_r, in row
+    blocks when that orientation exceeds QR_BLOCK_ENTRIES) is decomposed,
+    so no N x K singular-vector matrix is formed. Wide x (N <= K) is
+    R^T Q^T, so the left singular vectors of the N x N R^T are those of x.
+    Tall x is Q R, so the left singular vectors V of the K x K R^T are the
+    right ones of x, and Phi is the thin-QR orthonormalisation of
+    x V[:, :m] (signs fixed so its R has a positive diagonal): orthonormal
+    to rounding even when sigma_m is near the rank tolerance, where
     x V / sigma would not be. Mode signs are defined up to +-1.
     """
     x = linalg._as_matrix(snapshots, "snapshots")
+    linalg.check_count(m, "m")
     u, s, _ = np.linalg.svd(_tall_r(x).T)
     rank = linalg.numerical_rank(x.shape, s)
-    if not 1 <= m <= rank:
+    if m > rank:
         raise RankError(f"m={m} exceeds the numerical rank {rank} of the snapshot matrix")
     if x.shape[0] <= x.shape[1]:
         return BasisMatrix(u[:, :m].copy(), s)

@@ -216,7 +216,7 @@ class TestStartChecks:
 
     @pytest.mark.parametrize("record_every", [0, -1, 2.5, 10.0, True])
     def test_integrate_rejects_bad_record_every(self, record_every):
-        with pytest.raises(ValueError, match="record_every must be an integer >= 1"):
+        with pytest.raises(DimensionError, match="record_every must be an integer >= 1"):
             integrate(lorenz63(), np.ones(3), 1.0, 0.01, record_every=record_every)
 
     @pytest.mark.parametrize("run", [integrate, advance])

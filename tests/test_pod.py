@@ -1,14 +1,41 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sdeim import pod
 from sdeim.errors import DimensionError, RankError
 from sdeim.pod import BasisMatrix, compute_pod, singular_values, truncation_error
 from sdeim.properties import _random_orthonormal
 
 
 # every case runs on a wide (N <= K) and a tall (N > K) snapshot matrix:
-# compute_pod takes a different route for each
-WIDE_AND_TALL = pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
+# compute_pod takes a different route for each. "blocked" is the tall one
+# with QR_BLOCK_ENTRIES at 1, so that _tall_r's blocks have the floor of
+# 2 K rows: every tall matrix below then takes two or more blocks and two
+# or more levels
+WIDE_AND_TALL = pytest.mark.parametrize("tall", ["wide", "tall", "blocked"], indirect=True)
+
+
+@pytest.fixture
+def tall(request, monkeypatch):
+    if request.param == "blocked":
+        monkeypatch.setattr(pod, "QR_BLOCK_ENTRIES", 1)
+    return request.param != "wide"
+
+
+def qr_r_shapes(monkeypatch):
+    """Shapes of the matrices that np.linalg.qr(., mode="r") is called on."""
+    shapes = []
+    qr = np.linalg.qr
+
+    def counted(a, mode="reduced"):
+        if mode == "r":
+            shapes.append(np.shape(a))
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return shapes
 
 
 def graded_tall(rng, n=200, k=40, graded=30):
@@ -55,7 +82,8 @@ class TestComputePod:
         with pytest.raises(RankError, match="rank 3"):
             compute_pod(x.T if tall else x, 4)
 
-    def test_graded_spectrum_tall(self):
+    @pytest.mark.parametrize("tall", ["tall", "blocked"], indirect=True)
+    def test_graded_spectrum_tall(self, tall):
         rng = np.random.default_rng(10)
         x, sigma = graded_tall(rng)
         eps = np.finfo(float).eps
@@ -91,6 +119,55 @@ class TestComputePod:
         singular_values(x)
         assert calls == [(12, 12), (12, 12)]
 
+    def test_blocked_levels(self, monkeypatch):
+        # 200 x 40 in blocks of 80 rows: 3 blocks, then a 120-row stack in
+        # 2 blocks, then an 80-row stack factored whole
+        monkeypatch.setattr(pod, "QR_BLOCK_ENTRIES", 1)
+        shapes = qr_r_shapes(monkeypatch)
+        x, _ = graded_tall(np.random.default_rng(12))
+        pod._tall_r(x)
+        assert shapes == [(80, 40), (80, 40), (40, 40), (80, 40), (40, 40), (80, 40)]
+
+    @pytest.mark.parametrize("shape", [(300, 20), (20, 300)], ids=["tall", "wide"])
+    def test_single_block_is_the_direct_qr(self, monkeypatch, shape):
+        x = np.random.default_rng(13).normal(size=shape)
+        t = x if shape[0] > shape[1] else x.T
+        monkeypatch.setattr(pod, "QR_BLOCK_ENTRIES", t.size)
+        shapes = qr_r_shapes(monkeypatch)
+        r = pod._tall_r(x)
+        assert shapes == [(300, 20)]
+        assert np.array_equal(r, np.linalg.qr(t, mode="r"))
+
+    @pytest.mark.parametrize("entries", [64, 80], ids=["k-above-block", "k-at-block"])
+    def test_k_at_or_above_the_block_width_terminates(self, monkeypatch, entries):
+        # QR_BLOCK_ENTRIES // K is 0 or 1 row, so blocks take the 2 K floor
+        monkeypatch.setattr(pod, "QR_BLOCK_ENTRIES", entries)
+        x = np.random.default_rng(14).normal(size=(700, 80))
+        shapes = qr_r_shapes(monkeypatch)
+        s = singular_values(x)
+        assert len(shapes) >= 3 and max(rows for rows, _ in shapes) <= 160
+        ref = np.linalg.svd(x, compute_uv=False)
+        assert np.max(np.abs(s - ref)) < 10 * np.finfo(float).eps * max(x.shape) * ref[0]
+
+    @pytest.mark.parametrize("m", [True, 2.0, 0], ids=["bool", "float", "zero"])
+    def test_m_not_a_count_rejected(self, m):
+        x = np.random.default_rng(16).normal(size=(6, 20))
+        with pytest.raises(DimensionError, match=f"m must be an integer >= 1, got {m!r}"):
+            compute_pod(x, m)
+
+    def test_peak_memory_below_half_the_data(self, monkeypatch):
+        # a copy of x (numpy's astype for one whole QR) alone is x.nbytes
+        monkeypatch.setattr(pod, "QR_BLOCK_ENTRIES", 2**14)
+        x = np.random.default_rng(17).normal(size=(4096, 32))
+        assert x.size >= 4 * pod.QR_BLOCK_ENTRIES
+        tracemalloc.start()
+        try:
+            compute_pod(x, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 2
+
 
 class TestBasisMatrix:
     def test_rejects_non_orthonormal(self):
@@ -103,6 +180,12 @@ class TestBasisMatrix:
         sub = basis.leading(2)
         assert sub.n_modes == 2
         assert np.array_equal(sub.phi, basis.phi[:, :2])
+
+    @pytest.mark.parametrize("m", [True, 2.0, 0], ids=["bool", "float", "zero"])
+    def test_leading_rejects_non_counts(self, m):
+        basis = BasisMatrix(_random_orthonormal(np.random.default_rng(18), 7, 4))
+        with pytest.raises(DimensionError, match=f"m must be an integer >= 1, got {m!r}"):
+            basis.leading(m)
 
 
 class TestTruncationError:

@@ -67,6 +67,12 @@ class TestQdeimPlace:
         with pytest.raises(DimensionError):
             qdeim_place(basis, 4)
 
+    @pytest.mark.parametrize("n", [True, 2.0, 0], ids=["bool", "float", "zero"])
+    def test_n_not_a_count_rejected(self, n):
+        # True is not one sensor, nor 2.0 a TypeError from range()
+        with pytest.raises(DimensionError, match=f"n must be an integer >= 1, got {n!r}"):
+            qdeim_place(BasisMatrix(np.eye(3)), n)
+
     def test_invariant_under_mode_reordering(self):
         # pivot norms are Gram quantities, so permuting basis columns
         # cannot change the greedy choices when norms differ strictly
