@@ -17,7 +17,6 @@ from .dynamics import (
     linear_field,
     lorenz63,
     lorenz96,
-    shifted_field,
 )
 from .errors import (
     AssumptionError,

@@ -79,30 +79,30 @@ class AssimilationRun:
     reconstruction: Trajectory
 
 
-def _kernel_ode(rhs, lifted, pz, on_lists):
+def _kernel_ode(rhs, lifted, pz, offset, on_lists):
     """The kernel ODE's right-hand side: the lifted series interpolated at
     the stage time (the last stage may overshoot the last sample time by
-    rounding, so it is clamped there), plus PZ xi, through rhs and
-    projected onto PZ's columns. On float lists the two products are
-    Python sums over PZ's rows and columns."""
+    rounding, so it is clamped there), plus PZ xi, plus the offset, through
+    rhs and projected onto PZ's columns. On float lists the two products
+    are Python sums over PZ's rows and columns."""
     t_end = float(lifted.times[-1])
     if not on_lists:
         def kernel_ode(t, xi):
-            return rhs(interpolate_obs(lifted, min(t, t_end)) + pz.dot(xi)).dot(pz)
+            return rhs(interpolate_obs(lifted, min(t, t_end)) + pz.dot(xi) + offset).dot(pz)
 
         return kernel_ode
     lifted = _FloatSeries(lifted.times.tolist(), lifted.samples.tolist())
-    pz_rows, pz_cols = pz.tolist(), pz.T.tolist()
+    pz_rows, pz_cols, shift = pz.tolist(), pz.T.tolist(), offset.tolist()
 
     def kernel_ode(t, xi):
         u = interpolate_obs(lifted, min(t, t_end))
-        r = rhs([a + sum(map(mul, row, xi)) for a, row in zip(u, pz_rows)])
+        r = rhs([a + sum(map(mul, row, xi)) + s for a, row, s in zip(u, pz_rows, shift)])
         return [sum(map(mul, r, col)) for col in pz_cols]
 
     return kernel_ode
 
 
-def das_deim(core, f, series, xi0=None, dt=None):
+def das_deim(core, f, series, xi0=None, dt=None, offset=None):
     """Assimilate an observation series by integrating the kernel ODE.
 
     Fixed-step RK4 with step dt (default spacing / KERNEL_SUBSTEPS); the
@@ -110,7 +110,12 @@ def das_deim(core, f, series, xi0=None, dt=None):
     The samples are lifted to full states once (u~ is affine in y) and the
     lifted series is interpolated at stage times; at observation times it
     is the recorded sample itself, so clean runs keep the interpolation
-    property along the whole path. The reconstruction is sdeim of the
+    property along the whole path.
+
+    offset (zero when None; a finite vector of length core.dim, else
+    DimensionError) is the point the core's coordinates are taken about,
+    such as the training mean of a centred basis: f is evaluated at
+    offset + u~(xi), and the reconstruction is offset + sdeim of the
     samples and the kernel path.
 
     The kernel path is stepped by dynamics.rk4_drive on float lists if
@@ -124,19 +129,23 @@ def das_deim(core, f, series, xi0=None, dt=None):
         dt = spacing / KERNEL_SUBSTEPS
     n_sub = whole_steps(spacing, dt)
     xi0 = _check_xi(core, xi0, ())
+    offset = np.zeros(core.dim) if offset is None else np.asarray(offset, dtype=float)
+    if offset.shape != (core.dim,) or not np.isfinite(offset).all():
+        raise DimensionError(f"offset must be a finite vector of length N={core.dim}, "
+                             f"got shape {offset.shape}")
     times = series.times
     lifted = ObservationSeries(times, vanilla_deim(core, series.samples))
     if core.kernel_dim == 0:
         xi_path = np.zeros((times.size, 0))
     else:
-        ode = _kernel_ode(f.rhs, lifted, core.kernel_lift, f.on_lists)
+        ode = _kernel_ode(f.rhs, lifted, core.kernel_lift, offset, f.on_lists)
         x0 = xi0.tolist() if f.on_lists else xi0
         _, xi_path = rk4_drive(ode, x0, spacing / n_sub, (times.size - 1) * n_sub, n_sub,
                                float(times[0]))
     return AssimilationRun(
         times=times.copy(),
         xi_path=xi_path,
-        reconstruction=Trajectory(times.copy(), sdeim(core, series.samples, xi_path)),
+        reconstruction=Trajectory(times.copy(), offset + sdeim(core, series.samples, xi_path)),
     )
 
 

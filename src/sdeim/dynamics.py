@@ -103,21 +103,6 @@ def linear_field(matrix):
     return VectorField(dim=a.shape[0], rhs=rhs, params={"matrix": a})
 
 
-def shifted_field(f, offset):
-    """The field seen from coordinates v = u - offset: v' = f(v + offset)."""
-    offset = np.asarray(offset, dtype=float)
-    if offset.shape != (f.dim,):
-        raise DimensionError("offset length does not match field dimension")
-    shift = offset.tolist()
-
-    def rhs(v):
-        if type(v) is list:
-            return f.rhs([a + b for a, b in zip(v, shift)])
-        return f.rhs(v + offset)
-
-    return VectorField(dim=f.dim, rhs=rhs, params=dict(f.params, offset=offset))
-
-
 def rk4_step(f, u, dt):
     k1 = f.rhs(u)
     k2 = f.rhs(u + 0.5 * dt * k1)

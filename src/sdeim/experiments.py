@@ -9,7 +9,8 @@ When `center` is set, the estimation works in fluctuation coordinates:
 the training mean is subtracted from snapshots and observations, and
 added back to every reconstruction before errors are taken against the
 full state. All reconstruction contracts hold verbatim in the shifted
-coordinates; the vector field is shifted accordingly for assimilation.
+coordinates; assimilation gets the mean as das_deim's offset, so the
+vector field is evaluated at full states.
 """
 
 import json
@@ -27,10 +28,9 @@ import numpy as np
 from . import linalg
 from .assimilate import (KERNEL_SUBSTEPS, das_deim, post_transient, post_transient_mean,
                          relative_error_series)
-from .dynamics import (Trajectory, advance, integrate, linear_field, lorenz63, lorenz96,
-                       shifted_field, whole_steps)
+from .dynamics import Trajectory, advance, integrate, linear_field, lorenz63, lorenz96, whole_steps
 from .errors import ConfigError
-from .pod import BasisMatrix, compute_pod, singular_values
+from .pod import BasisMatrix, compute_pod
 from .reconstruct import prefactor_curve, vanilla_deim
 from .sensing import (
     NoiseSpec,
@@ -249,7 +249,9 @@ def run_pipeline(config, write=True):
 
     with _stage(timings, "pod"):
         mean, basis = fit_basis(config, train)
-        raw_sv = basis.singular_values if not config.center else singular_values(train.states.T)
+        raw_sv = basis.singular_values
+        if config.center:
+            raw_sv = compute_pod(train.states.T, 1).singular_values
 
     with _stage(timings, "place"):
         selection = place_sensors(config, basis)
@@ -267,10 +269,8 @@ def run_pipeline(config, write=True):
             errors_vanilla[m_v] = relative_error_series(Trajectory(test.times, rec), test)
 
     with _stage(timings, "assimilate"):
-        f_est = shifted_field(config.vector_field, mean) if config.center else config.vector_field
-        run = das_deim(cores[config.n_modes], f_est, observations)
-        reconstruction = Trajectory(test.times, mean + run.reconstruction.states)
-        errors_das = relative_error_series(reconstruction, test)
+        run = das_deim(cores[config.n_modes], config.vector_field, observations, offset=mean)
+        errors_das = relative_error_series(run.reconstruction, test)
 
     with _stage(timings, "prefactor"):
         m_range = list(range(config.n_sensors, config.n_modes + 1))
@@ -318,7 +318,7 @@ def run_pipeline(config, write=True):
         errors_vanilla=errors_vanilla,
         errors_dasdeim=errors_das,
         xi_path=run.xi_path,
-        reconstruction=reconstruction,
+        reconstruction=run.reconstruction,
         prefactors_fixed=pf_fixed,
         prefactors_replaced=pf_replaced,
         summary=summary,

@@ -73,11 +73,6 @@ def _tall_r(x):
     return np.linalg.qr(t, mode="r")
 
 
-def singular_values(snapshots):
-    """The full spectrum of the snapshot matrix, by compute_pod's route."""
-    return np.linalg.svd(_tall_r(linalg._as_matrix(snapshots, "snapshots")), compute_uv=False)
-
-
 def compute_pod(snapshots, m):
     """Leading m left singular vectors of the N x K snapshot matrix (one
     state per column), as given (no mean subtraction). singular_values

@@ -23,7 +23,7 @@ from sdeim.dynamics import (
     integrate,
     linear_field,
     lorenz63,
-    shifted_field,
+    lorenz96,
 )
 from sdeim.errors import DimensionError, DivergenceError, ObservationRangeError
 from sdeim.experiments import load_preset, run_pipeline
@@ -59,18 +59,43 @@ def reference_kernel_path(core, f, series, xi0, n_sub):
     return out
 
 
-def lorenz63_assimilation_case(centred=True):
-    """A Lorenz63 basis with m = 3 modes and n = 1 sensor, as in the
-    lorenz63 preset, over one time unit of observations; centred (the
-    preset's setting, on the shifted field) or on the raw states."""
-    f = lorenz63()
-    train = integrate(f, np.array([1.0, 1.0, 1.0]), 20.0, 1e-2)
-    mean = train.states.mean(axis=0) if centred else np.zeros(3)
-    basis = compute_pod((train.states - mean).T, 3)
-    core = build_deim_core(basis, qdeim_place(basis.leading(1), 1))
-    test = integrate(f, np.array([-5.0, 4.0, 20.0]), 1.0, 1e-3, record_every=10)
+def shifted(f, offset):
+    """f seen from coordinates v = u - offset, v' = f(v + offset), on float
+    lists when f is: the route das_deim's offset replaced, and the field
+    kernel_rhs is given for a centred case."""
+    shift = offset.tolist()
+
+    def rhs(v):
+        if type(v) is list:
+            return f.rhs([a + b for a, b in zip(v, shift)])
+        return f.rhs(v + offset)
+
+    return VectorField(dim=f.dim, rhs=rhs)
+
+
+def assimilation_case(f, train_ic, test_ic, m, n, centred=True):
+    """A basis with m modes from twenty time units of f and n Q-DEIM
+    sensors, with one time unit of observations; centred (the Lorenz
+    presets' setting) or on the raw states. Returns (core, f, series,
+    offset), offset being the training mean, or zeros when not centred."""
+    train = integrate(f, np.array(train_ic), 20.0, 1e-2)
+    mean = train.states.mean(axis=0) if centred else np.zeros(f.dim)
+    basis = compute_pod((train.states - mean).T, m)
+    core = build_deim_core(basis, qdeim_place(basis.leading(n), n))
+    test = integrate(f, np.array(test_ic), 1.0, 1e-3, record_every=10)
     series = ObservationSeries(test.times, (test.states - mean)[:, core.selection.indices])
-    return core, shifted_field(f, mean) if centred else f, series
+    return core, f, series, mean
+
+
+def lorenz63_assimilation_case(centred=True):
+    """m = 3 modes and n = 1 sensor, as in the lorenz63 preset: the float path."""
+    return assimilation_case(lorenz63(), [1.0, 1.0, 1.0], [-5.0, 4.0, 20.0], 3, 1, centred)
+
+
+def lorenz96_assimilation_case():
+    """Eight chaotic sites (F = 8), m = 4 modes and n = 2 sensors: the array path."""
+    u0 = 8.0 + np.eye(8)[0]
+    return assimilation_case(lorenz96(8, 8.0), u0, 8.0 - 2.0 * np.eye(8)[3], 4, 2)
 
 
 @pytest.fixture
@@ -205,17 +230,55 @@ class TestDasDeim:
             core = _random_core(rng, 6, 4, 2)
             f = linear_field(-np.eye(6) + 0.3 * rng.normal(size=(6, 6)))
             series = ObservationSeries(0.05 * np.arange(21), rng.normal(size=(21, 2)))
+            offset = np.zeros(6)
         elif system == "linear-large":
             core = _random_core(rng, 12, 5, 2)
             f = linear_field(-np.eye(12) + 0.3 * rng.normal(size=(12, 12)))
             series = ObservationSeries(0.05 * np.arange(21), rng.normal(size=(21, 2)))
+            offset = np.zeros(12)
         else:
-            core, f, series = lorenz63_assimilation_case(centred=system == "lorenz63")
+            core, f, series, offset = lorenz63_assimilation_case(centred=system == "lorenz63")
         xi0 = rng.normal(size=core.kernel_dim)
         n_sub = 8
-        run = das_deim(core, f, series, xi0=xi0, dt=series.dt / n_sub)
-        ref = np.array([xi for _, xi in reference_kernel_path(core, f, series, xi0, n_sub)[::n_sub]])
+        run = das_deim(core, f, series, xi0=xi0, dt=series.dt / n_sub, offset=offset)
+        path = reference_kernel_path(core, shifted(f, offset), series, xi0, n_sub)
+        ref = np.array([xi for _, xi in path[::n_sub]])
         assert np.linalg.norm(run.xi_path - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("case", [lorenz63_assimilation_case, lorenz96_assimilation_case],
+                             ids=["lorenz63", "lorenz96"])
+    def test_offset_gives_the_old_centred_route_bits(self, case):
+        # the centred route before das_deim took an offset: the field seen
+        # from v = u - mean, and the mean added to the reconstruction after
+        core, f, series, mean = case()
+        assert f.on_lists == (case is lorenz63_assimilation_case)
+        run = das_deim(core, f, series, offset=mean)
+        old = das_deim(core, shifted(f, mean), series)
+        assert np.array_equal(run.xi_path, old.xi_path)
+        assert np.array_equal(run.reconstruction.times, old.reconstruction.times)
+        assert np.array_equal(run.reconstruction.states, mean + old.reconstruction.states)
+        assert np.ptp(run.xi_path) > 0.1  # the kernel path moved
+
+    @pytest.mark.parametrize("case", [lorenz63_assimilation_case, lorenz96_assimilation_case],
+                             ids=["lorenz63", "lorenz96"])
+    def test_offset_none_gives_the_zero_offset_bits(self, case):
+        core, f, series, _ = case()
+        xi0 = np.ones(core.kernel_dim)
+        run = das_deim(core, f, series, xi0=xi0)
+        zero = das_deim(core, f, series, xi0=xi0, offset=np.zeros(core.dim))
+        assert np.array_equal(run.xi_path, zero.xi_path)
+        assert np.array_equal(run.reconstruction.states, zero.reconstruction.states)
+
+    @pytest.mark.parametrize("offset", [np.zeros(4), np.zeros(6), np.zeros((1, 5)),
+                                        [0.0, 0.0, 0.0, 0.0, math.nan],
+                                        [0.0, 0.0, -math.inf, 0.0, 0.0]],
+                             ids=["short", "long", "row", "nan", "inf"])
+    def test_offset_not_a_finite_state_rejected(self, offset):
+        rng = np.random.default_rng(15)
+        core = _random_core(rng, 5, 4, 2)
+        series = ObservationSeries(0.1 * np.arange(5), rng.normal(size=(5, 2)))
+        with pytest.raises(DimensionError, match="offset"):
+            das_deim(core, linear_field(-np.eye(5)), series, offset=offset)
 
     def test_divergence_reports_last_finite_step_time(self):
         # xi' = 50 xi for an orthonormal basis: the kernel path blows up
@@ -254,34 +317,35 @@ class TestDasDeim:
         assert np.linalg.norm(run.xi_path - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_lorenz63_core_takes_the_float_path(self, interpolate_calls):
-        core, f, series = lorenz63_assimilation_case()
+        core, f, series, mean = lorenz63_assimilation_case()
         rhs_calls = []
         g = VectorField(dim=3, rhs=lambda u: rhs_calls.append(type(u)) or f.rhs(u))
         rhs_calls.clear()  # the probe when g was built
-        run = das_deim(core, g, series, dt=series.dt / 20)
+        run = das_deim(core, g, series, dt=series.dt / 20, offset=mean)
         n_stages = 4 * 20 * (series.times.size - 1)
         # one field call and one interpolation a stage, all on lists
         assert interpolate_calls == [True] * n_stages and rhs_calls == [list] * n_stages
         assert np.all(np.isfinite(run.xi_path))
 
     def test_array_only_small_field_takes_the_array_path(self, interpolate_calls):
-        # the lorenz63 case's shifted field behind an rhs written for arrays
-        # only (a list + 0.0 raises): the field is built with on_lists false
-        # and every stage runs on arrays
-        core, f, series = lorenz63_assimilation_case()
+        # the lorenz63 case's field behind an rhs written for arrays only
+        # (a list + 0.0 raises): the field is built with on_lists false and
+        # every stage runs on arrays
+        core, f, series, mean = lorenz63_assimilation_case()
         g = VectorField(dim=3, rhs=lambda u: f.rhs(u + 0.0))
         xi0 = np.ones(core.kernel_dim)
         n_sub = 8
-        run = das_deim(core, g, series, xi0=xi0, dt=series.dt / n_sub)
+        run = das_deim(core, g, series, xi0=xi0, dt=series.dt / n_sub, offset=mean)
         n_stages = 4 * n_sub * (series.times.size - 1)
         assert not g.on_lists and interpolate_calls == [False] * n_stages
-        ref = np.array([xi for _, xi in reference_kernel_path(core, f, series, xi0, n_sub)[::n_sub]])
+        path = reference_kernel_path(core, shifted(f, mean), series, xi0, n_sub)
+        ref = np.array([xi for _, xi in path[::n_sub]])
         assert np.linalg.norm(run.xi_path - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_float_series_interpolates_as_arrays_do(self):
         # at every stage time, past the end and backwards, a series held as
         # float lists gives the array series' bracketing index, weight and bits
-        core, f, series = lorenz63_assimilation_case()
+        core, _, series, _ = lorenz63_assimilation_case()
         lifted = ObservationSeries(series.times, vanilla_deim(core, series.samples))
         floats = assimilate._FloatSeries(lifted.times.tolist(), lifted.samples.tolist())
         h = series.dt / 20
@@ -352,12 +416,11 @@ class TestKernelSubsteps:
     def test_halving_the_step_moves_the_summary_below_1e_4(self, preset, spans):
         config = replace(load_preset(preset), **spans)
         result = run_pipeline(config, write=False)  # das_deim at KERNEL_SUBSTEPS
-        f = shifted_field(config.vector_field, result.mean)
         series = result.observations
-        run = das_deim(build_deim_core(result.basis, result.selection), f, series,
-                       dt=series.dt / (2 * assimilate.KERNEL_SUBSTEPS))
-        errors = relative_error_series(
-            Trajectory(series.times, result.mean + run.reconstruction.states), result.test)
+        run = das_deim(build_deim_core(result.basis, result.selection), config.vector_field,
+                       series, dt=series.dt / (2 * assimilate.KERNEL_SUBSTEPS),
+                       offset=result.mean)
+        errors = relative_error_series(run.reconstruction, result.test)
         s = result.summary
         for coarse, fine in ((s["dasdeim_post_transient_mean"], post_transient_mean(errors)),
                              (s["dasdeim_post_transient_min"], np.nanmin(post_transient(errors)))):

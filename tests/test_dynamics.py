@@ -19,7 +19,6 @@ from sdeim.dynamics import (
     lorenz96,
     rk4_drive,
     rk4_step,
-    shifted_field,
 )
 from sdeim.errors import DimensionError, DivergenceError
 from sdeim.experiments import load_preset
@@ -116,15 +115,6 @@ class TestLinearField:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             linear_field(np.zeros((2, 3)))
-
-
-class TestShiftedField:
-    def test_linear_shift(self):
-        a = np.array([[2.0, 0.0], [0.0, -1.0]])
-        offset = np.array([1.0, 3.0])
-        g = shifted_field(linear_field(a), offset)
-        v = np.array([0.5, -0.5])
-        assert np.allclose(g.rhs(v), a @ (v + offset))
 
 
 class TestIntegrate:
@@ -255,12 +245,6 @@ class TestKernelSets:
         assert np.array_equal(x_a, x_l)
         assert np.ptp(x_a[:, 0]) > 10.0  # the run left the start and crossed lobes
 
-    def test_shifted_lorenz63_list_and_array_paths_bitwise_equal(self):
-        g = shifted_field(lorenz63(), [-0.3, 0.7, 23.5])
-        (t_a, x_a), (t_l, x_l) = _drive_both(g, [1.0, 1.0, -22.0], 20000, record_every=7)
-        assert np.array_equal(t_a, t_l)
-        assert np.array_equal(x_a, x_l)
-
     @pytest.mark.parametrize("f", [
         linear_field(np.random.default_rng(3).normal(size=(6, 6))),
         lorenz96(6, 8.0),
@@ -349,11 +333,11 @@ class TestKernelSets:
 
     def test_small_fields_return_lists_for_lists(self):
         u = [1.0, -2.0, 3.0]
-        for f in (lorenz63(), shifted_field(lorenz63(), [1.0, 2.0, 3.0])):
-            assert f.on_lists
-            out = f.rhs(u)
-            assert type(out) is list and all(type(v) is float for v in out)
-            assert out == f.rhs(np.array(u)).tolist()
+        f = lorenz63()
+        assert f.on_lists
+        out = f.rhs(u)
+        assert type(out) is list and all(type(v) is float for v in out)
+        assert out == f.rhs(np.array(u)).tolist()
         with pytest.raises(TypeError):  # the field decides, no caller
             VectorField(dim=3, rhs=lorenz63().rhs, on_lists=True)
 

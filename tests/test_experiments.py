@@ -255,6 +255,15 @@ class TestPipeline:
         plain, wrapped = ((tmp_path / d / "summary.json").read_bytes() for d in ("plain", "wrapped"))
         assert wrapped == plain
 
+    def test_raw_spectrum_is_the_uncentred_basis_spectrum(self, linear_cfg):
+        # one route for both spectra: a centred run's raw spectrum is the
+        # basis spectrum of the same run uncentred, bit for bit
+        centred = run_pipeline(replace(linear_cfg, center=True), write=False)
+        uncentred = run_pipeline(linear_cfg, write=False)
+        assert np.array_equal(uncentred.raw_singular_values, uncentred.basis.singular_values)
+        assert np.array_equal(centred.raw_singular_values, uncentred.basis.singular_values)
+        assert not np.array_equal(centred.basis.singular_values, uncentred.basis.singular_values)
+
     def test_no_kernel_pipeline_is_vanilla_deim(self, tmp_path, linear_cfg):
         # n = m: DAS-DEIM has an empty kernel and reduces to the vanilla estimate
         cfg = replace(linear_cfg, n_sensors=linear_cfg.n_modes, output_dir=str(tmp_path))
