@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .dynamics import Trajectory, rk4_drive, whole_steps
 from .errors import DimensionError, ObservationRangeError
 from .reconstruct import _check_xi, sdeim, vanilla_deim
@@ -74,7 +75,6 @@ def kernel_rhs(core, f, series, t, xi):
 class AssimilationRun:
     """Kernel path and reconstruction recorded at the observation times."""
 
-    times: np.ndarray
     xi_path: np.ndarray
     reconstruction: Trajectory
 
@@ -129,10 +129,10 @@ def das_deim(core, f, series, xi0=None, dt=None, offset=None):
         dt = spacing / KERNEL_SUBSTEPS
     n_sub = whole_steps(spacing, dt)
     xi0 = _check_xi(core, xi0, ())
-    offset = np.zeros(core.dim) if offset is None else np.asarray(offset, dtype=float)
-    if offset.shape != (core.dim,) or not np.isfinite(offset).all():
-        raise DimensionError(f"offset must be a finite vector of length N={core.dim}, "
-                             f"got shape {offset.shape}")
+    offset = np.zeros(core.dim) if offset is None else linalg.check_shape(
+        offset, (core.dim,), "offset")
+    if not np.isfinite(offset).all():
+        raise DimensionError("offset must be finite")
     times = series.times
     lifted = ObservationSeries(times, vanilla_deim(core, series.samples))
     if core.kernel_dim == 0:
@@ -143,7 +143,6 @@ def das_deim(core, f, series, xi0=None, dt=None, offset=None):
         _, xi_path = rk4_drive(ode, x0, spacing / n_sub, (times.size - 1) * n_sub, n_sub,
                                float(times[0]))
     return AssimilationRun(
-        times=times.copy(),
         xi_path=xi_path,
         reconstruction=Trajectory(times.copy(), offset + sdeim(core, series.samples, xi_path)),
     )

@@ -50,10 +50,6 @@ class Trajectory:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", x)
 
-    @property
-    def dim(self):
-        return self.states.shape[1]
-
     def to_csv(self, path):
         linalg.save_matrix_csv(path, np.column_stack([self.times, self.states]))
 
@@ -203,9 +199,7 @@ def _start(f, u0, span, dt):
     """u0 as rk4_drive steps f (a float list if f.on_lists, else an array
     of shape (f.dim,)) and whole_steps(span, dt)."""
     n_steps = whole_steps(span, dt)
-    u = np.asarray(u0, dtype=float)
-    if u.shape != (f.dim,):
-        raise DimensionError(f"initial state length {u.shape} does not match dim {f.dim}")
+    u = linalg.check_shape(u0, (f.dim,), "initial state")
     return (u.tolist() if f.on_lists else u), n_steps
 
 

@@ -19,7 +19,7 @@ import numbers
 import time
 from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import ClassVar
 
@@ -129,6 +129,15 @@ class ExperimentConfig:
             if not all(map(_finite_number, ic)):
                 raise ConfigError(name, "every entry must be a finite number")
 
+    def __setattr__(self, name, value):
+        """Once built, an assignment first builds the config it makes, so
+        every check runs again: a rejected value is a ConfigError that
+        leaves this config unchanged, and an accepted one brings that
+        config's vector_field with it."""
+        if "vector_field" in self.__dict__:
+            object.__setattr__(self, "vector_field", replace(self, **{name: value}).vector_field)
+        object.__setattr__(self, name, value)
+
     @classmethod
     def from_dict(cls, d):
         """The config from a dict of field values; a key that names no
@@ -209,7 +218,6 @@ class PipelineResult:
     xi_path: np.ndarray
     reconstruction: Trajectory
     prefactors_fixed: list
-    prefactors_replaced: list
     summary: dict
     timings: dict
 
@@ -273,9 +281,7 @@ def run_pipeline(config, write=True):
         errors_das = relative_error_series(run.reconstruction, test)
 
     with _stage(timings, "prefactor"):
-        m_range = list(range(config.n_sensors, config.n_modes + 1))
-        pf_fixed = prefactor_curve(basis, config.n_sensors, m_range)
-        pf_replaced = prefactor_curve(basis, config.n_sensors, m_range, replace_sensors=True)
+        pf_fixed, pf_replaced = prefactor_curve(basis, config.n_sensors)
 
     sv = basis.singular_values
     summary = {
@@ -320,7 +326,6 @@ def run_pipeline(config, write=True):
         xi_path=run.xi_path,
         reconstruction=run.reconstruction,
         prefactors_fixed=pf_fixed,
-        prefactors_replaced=pf_replaced,
         summary=summary,
         timings=timings,
     )

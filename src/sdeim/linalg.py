@@ -38,6 +38,15 @@ def check_count(v, name):
         raise DimensionError(f"{name} must be an integer >= 1, got {v!r}")
 
 
+def check_shape(a, shape, name):
+    """The one rule for fixed-shape inputs: a as a float array, or a
+    DimensionError naming `name` unless its shape is exactly `shape`."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise DimensionError(f"{name}: shape {a.shape} is not {shape}")
+    return a
+
+
 def _as_record(times, values, name):
     """A time record as float arrays: values a finite K-row matrix, times
     (K,) finite and strictly increasing."""

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, RankError
+from .errors import RankError
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -104,8 +104,6 @@ def compute_pod(snapshots, m):
 
 def truncation_error(u, basis):
     """|| u - Phi Phi^T u ||_2, the best-in-range approximation error."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (basis.dim,):
-        raise DimensionError(f"state length {u.shape} does not match basis dim {basis.dim}")
+    u = linalg.check_shape(u, (basis.dim,), "state")
     phi = basis.phi
     return float(np.linalg.norm(u - phi @ (phi.T @ u)))

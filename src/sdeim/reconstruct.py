@@ -8,7 +8,6 @@ interpolation estimate; a well-chosen kernel vector removes the in-range
 error component the sensors cannot see.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,21 +31,13 @@ def _check_obs(core, y):
 def _check_xi(core, xi, lead):
     """Kernel coordinates of shape lead + (kernel_dim,); zeros for None."""
     shape = lead + core.kernel_lift.shape[1:]
-    if xi is None:
-        return np.zeros(shape)
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != shape:
-        raise DimensionError(f"kernel coordinates of shape {xi.shape} are not {shape}")
-    return xi
+    return np.zeros(shape) if xi is None else linalg.check_shape(xi, shape, "kernel coordinates")
 
 
 def _check_state(core, u):
     """The state as one contiguous vector: the products below read it
     twice as fast as a strided view (a column of a snapshot matrix)."""
-    u = np.ascontiguousarray(u, dtype=float)
-    if u.shape != core.lift.shape[:1]:
-        raise DimensionError(f"state length {u.shape} does not match N={core.lift.shape[0]}")
-    return u
+    return np.ascontiguousarray(linalg.check_shape(u, core.lift.shape[:1], "state"))
 
 
 def vanilla_deim(core, y):
@@ -124,36 +115,28 @@ def error_report(core, u, xi=None):
     )
 
 
-def prefactor_curve(basis_full, n, m_range, replace_sensors=False):
-    """||(S^T Phi_m)^+||_2 = 1 / sigma_min(S^T Phi_m) over mode counts m,
+def prefactor_curve(basis, n):
+    """||(S^T Phi_m)^+||_2 = 1 / sigma_min(S^T Phi_m) for m = n..n_modes,
     from the singular values of the n x m sampled rows alone (no DeimCore).
+    Returns (fixed, replaced), each a list of (m, value).
 
-    Sensors are placed once from the smallest-m sub-basis and held fixed
-    (nonincreasing values by singular-value interlacing); with
-    replace_sensors=True they are re-placed per m instead, which carries
-    no monotonicity guarantee. Every m must be an integer in n..n_modes:
-    an empty or non-integer m_range, or an m < n, is a DimensionError, and
-    an m > n_modes the RankError of basis_full.leading(m).
+    fixed holds the sensors placed once from the leading n modes
+    (nonincreasing by singular-value interlacing); replaced places them
+    again for each m, which carries no monotonicity guarantee. An n above
+    n_modes is the RankError of basis.leading(n), raised before any
+    placement.
     """
-    m_range = list(m_range)
-    if not m_range:
-        raise DimensionError("prefactor curve needs at least one mode count")
-    if not all(isinstance(m, numbers.Integral) and not isinstance(m, bool) for m in m_range):
-        raise DimensionError(f"mode counts must be integers, got {m_range}")
-    m_range = [int(m) for m in m_range]
-    if any(m < n for m in m_range):
-        raise DimensionError("prefactor curve needs m >= n throughout")
-    if max(m_range) > basis_full.n_modes:
-        basis_full.leading(max(m_range))  # raises leading's RankError before any placement
-    sel = qdeim_place(basis_full.leading(min(m_range)), n)
-    out = []
-    for m in m_range:
-        if replace_sensors:
-            sel = qdeim_place(basis_full.leading(m), n)
-        s = np.linalg.svd(basis_full.phi[sel.indices, :m], compute_uv=False)
+    def inverse_sigma_min(sel, m):
+        s = np.linalg.svd(basis.phi[sel.indices, :m], compute_uv=False)
         check_full_rank((n, m), s)
-        out.append((m, float(1.0 / s[-1])))
-    return out
+        return m, float(1.0 / s[-1])
+
+    held = qdeim_place(basis.leading(n), n)
+    fixed, replaced = [], []
+    for m in range(n, basis.n_modes + 1):
+        fixed.append(inverse_sigma_min(held, m))
+        replaced.append(inverse_sigma_min(qdeim_place(basis.leading(m), n), m))
+    return fixed, replaced
 
 
 def two_stage_sdeim(basis, sel1, sel2, y1, y2):
@@ -165,12 +148,8 @@ def two_stage_sdeim(basis, sel1, sel2, y1, y2):
     if sel2.n_state != basis.dim:
         raise DimensionError("selection and basis dimension mismatch")
     core1 = build_deim_core(basis, sel1)
-    y1 = np.asarray(y1, dtype=float)
-    if y1.shape != (sel1.n,):
-        raise DimensionError("first observation batch length mismatch")
-    y2 = np.asarray(y2, dtype=float)
-    if y2.shape != (sel2.n,):
-        raise DimensionError("second observation batch length mismatch")
+    y1 = linalg.check_shape(y1, (sel1.n,), "first observation batch")
+    y2 = linalg.check_shape(y2, (sel2.n,), "second observation batch")
     combined = SensorSelection(basis.dim, np.concatenate([sel1.indices, sel2.indices]))
     s_union = basis.phi[combined.indices, :]
     check_full_rank(s_union.shape, np.linalg.svd(s_union, compute_uv=False))

@@ -75,10 +75,6 @@ class ObservationSeries:
     def dt(self):
         return float(self.times[1] - self.times[0])
 
-    @property
-    def n(self):
-        return self.samples.shape[1]
-
     def to_csv(self, path):
         linalg.save_matrix_csv(path, np.column_stack([self.times, self.samples]))
 
@@ -94,10 +90,7 @@ def qdeim_place(basis, n):
 def observe(u, sel):
     """y = S^T u: pick the sensed components, as a fresh array (fancy
     indexing copies, so y shares no memory with u)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (sel.n_state,):
-        raise DimensionError(f"state length {u.shape} does not match N={sel.n_state}")
-    return u[sel.indices]
+    return linalg.check_shape(u, (sel.n_state,), "state")[sel.indices]
 
 
 def observe_trajectory(times, states, sel):

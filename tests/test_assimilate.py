@@ -221,7 +221,7 @@ class TestDasDeim:
         series = ObservationSeries(times, rng.normal(size=(11, 2)))
         run = das_deim(core, f, series, dt=0.01)
         assert run.xi_path.shape == (11, 2)
-        assert np.array_equal(run.times, times)
+        assert np.array_equal(run.reconstruction.times, times)
 
     @pytest.mark.parametrize("system", ["linear", "lorenz63", "lorenz63-uncentred", "linear-large"])
     def test_xi_path_matches_reference_rk4_over_kernel_rhs(self, system):

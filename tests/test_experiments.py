@@ -170,6 +170,20 @@ class TestPresets:
         with pytest.raises(FileNotFoundError):
             load_preset("nope")
 
+    def test_assigned_params_rebuild_the_field(self):
+        cfg = load_preset("lorenz63")
+        cfg.params = {"sigma": 5.0}
+        assert cfg.params == {"sigma": 5.0}
+        assert cfg.vector_field.params["sigma"] == 5.0
+
+    def test_rejected_assignment_leaves_the_config_unchanged(self):
+        cfg = load_preset("lorenz63")
+        before, field = asdict(cfg), cfg.vector_field
+        with pytest.raises(ConfigError) as err:
+            cfg.n_modes = 7
+        assert err.value.field == "n_modes"
+        assert asdict(cfg) == before and cfg.vector_field is field
+
 
 class TestGenerate:
     def test_trajectory_shapes(self, linear_cfg):

@@ -1,10 +1,48 @@
+import re
+
 import numpy as np
 import pytest
 
 from sdeim import linalg
+from sdeim.assimilate import das_deim
+from sdeim.dynamics import integrate, linear_field
 from sdeim.errors import AssumptionError, DimensionError, RankError
-from sdeim.pod import compute_pod
-from sdeim.sensing import check_full_rank
+from sdeim.pod import compute_pod, truncation_error
+from sdeim.properties import _random_core
+from sdeim.reconstruct import optimal_kernel, sdeim, two_stage_sdeim
+from sdeim.sensing import ObservationSeries, SensorSelection, check_full_rank, observe
+
+
+class TestCheckShape:
+    def test_returns_a_float_array_of_exactly_that_shape(self):
+        a = linalg.check_shape([1, 2], (2,), "pair")
+        assert a.dtype == float and a.shape == (2,)
+        for bad in ([[1, 2]], [1, 2, 3], 1.0):
+            with pytest.raises(DimensionError, match="pair: shape"):
+                linalg.check_shape(bad, (2,), "pair")
+
+    # every fixed-shape argument, one entry short, on a core with N = 6
+    # states, n = 2 sensors and two kernel coordinates
+    @pytest.mark.parametrize("name, shapes, call", [
+        ("initial state", "(5,) is not (6,)",
+         lambda c: integrate(linear_field(-np.eye(6)), np.ones(5), 1.0, 0.1)),
+        ("state", "(5,) is not (6,)", lambda c: observe(np.ones(5), c.selection)),
+        ("state", "(5,) is not (6,)", lambda c: truncation_error(np.ones(5), c.basis)),
+        ("state", "(5,) is not (6,)", lambda c: optimal_kernel(c, np.ones(5))),
+        ("kernel coordinates", "(1,) is not (2,)", lambda c: sdeim(c, np.ones(2), np.ones(1))),
+        ("first observation batch", "(1,) is not (2,)", lambda c: two_stage_sdeim(
+            c.basis, SensorSelection(6, [0, 3]), SensorSelection(6, [1, 4]), np.ones(1), np.ones(2))),
+        ("second observation batch", "(1,) is not (2,)", lambda c: two_stage_sdeim(
+            c.basis, SensorSelection(6, [0, 3]), SensorSelection(6, [1, 4]), np.ones(2), np.ones(1))),
+        ("offset", "(5,) is not (6,)", lambda c: das_deim(
+            c, linear_field(-np.eye(6)), ObservationSeries(0.1 * np.arange(4), np.ones((4, 2))),
+            offset=np.zeros(5))),
+    ], ids=["integrate", "observe", "truncation_error", "optimal_kernel", "sdeim",
+            "two_stage_first", "two_stage_second", "das_deim_offset"])
+    def test_misshapen_argument_named_at_every_site(self, name, shapes, call):
+        core = _random_core(np.random.default_rng(30), 6, 4, 2)
+        with pytest.raises(DimensionError, match=re.escape(f"{name}: shape {shapes}")):
+            call(core)
 
 
 class TestQRColumnPivot:

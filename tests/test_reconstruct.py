@@ -77,22 +77,22 @@ class TestSdeim:
                     "observations of shape (1, 5, 2) are not (n,) or (K, n) with n=2")):
                 estimate(core, y[None])
         with pytest.raises(DimensionError, match=re.escape(
-                "kernel coordinates of shape (6, 4) are not (5, 4)")):
+                "kernel coordinates: shape (6, 4) is not (5, 4)")):
             sdeim(core, y, rng.normal(size=(6, core.kernel_dim)))
         with pytest.raises(DimensionError, match=re.escape(
-                "kernel coordinates of shape (4,) are not (5, 4)")):
+                "kernel coordinates: shape (4,) is not (5, 4)")):
             sdeim(core, y, xi[0])
         # a kernel vector z = Z xi as a raw m-vector is not its coordinates
         z = core.kernel_matrix @ xi[0]
         with pytest.raises(DimensionError, match=re.escape(
-                "kernel coordinates of shape (6,) are not (4,)")):
+                "kernel coordinates: shape (6,) is not (4,)")):
             sdeim(core, y[0], z)
         with pytest.raises(DimensionError, match=re.escape(
-                "kernel coordinates of shape (6,) are not (4,)")):
+                "kernel coordinates: shape (6,) is not (4,)")):
             error_report(core, rng.normal(size=10), z)
         for oracle in (optimal_kernel, error_report):
             with pytest.raises(DimensionError, match=re.escape(
-                    "state length (9,) does not match N=10")):
+                    "state: shape (9,) is not (10,)")):
                 oracle(core, rng.normal(size=9))
 
 
@@ -197,67 +197,62 @@ class TestErrorReport:
 class TestPrefactorCurve:
     def test_square_value_is_inverse_norm(self):
         rng = np.random.default_rng(15)
-        basis = BasisMatrix(_random_orthonormal(rng, 9, 4))
-        curve = prefactor_curve(basis, 2, [2])
-        sel = qdeim_place(basis.leading(2), 2)
-        s_phi = basis.phi[sel.indices, :2]
-        expect = np.linalg.svd(np.linalg.inv(s_phi), compute_uv=False)[0]
-        assert curve[0][1] == pytest.approx(expect, rel=1e-12)
+        basis = BasisMatrix(_random_orthonormal(rng, 9, 2))
+        sel = qdeim_place(basis, 2)
+        expect = np.linalg.svd(np.linalg.inv(basis.phi[sel.indices]), compute_uv=False)[0]
+        for curve in prefactor_curve(basis, 2):
+            assert [m for m, _ in curve] == [2]
+            assert curve[0][1] == pytest.approx(expect, rel=1e-12)
 
     def test_nonincreasing_with_fixed_sensors(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
             basis = BasisMatrix(_random_orthonormal(rng, 12, 6))
-            curve = prefactor_curve(basis, 2, range(2, 7))
-            vals = [v for _, v in curve]
+            fixed, replaced = prefactor_curve(basis, 2)
+            assert [m for m, _ in fixed] == [m for m, _ in replaced] == [2, 3, 4, 5, 6]
+            vals = [v for _, v in fixed]
             assert all(vals[i + 1] <= vals[i] + 1e-9 for i in range(len(vals) - 1))
 
-    def test_m_below_n_rejected(self):
-        rng = np.random.default_rng(17)
-        basis = BasisMatrix(_random_orthonormal(rng, 8, 4))
-        with pytest.raises(DimensionError):
-            prefactor_curve(basis, 3, [2, 3])
-
-    @pytest.mark.parametrize("replace", [False, True])
-    @pytest.mark.parametrize("m_range, error, message", [
-        ([2, 3, 4, 5, 6], RankError, r"m=6 outside 1\.\.4"),
-        ([], DimensionError, "at least one mode count"),
-        ([2, 2.9], DimensionError, "mode counts must be integers"),
-    ], ids=["beyond-the-basis", "empty", "non-integer"])
-    def test_bad_mode_counts_rejected_before_placement(self, monkeypatch, replace, m_range,
-                                                       error, message):
-        # not truncated to the basis' 4 modes, nor min() of nothing, nor 2.9 cast to 2
+    def test_more_sensors_than_modes_rejected_before_placement(self, monkeypatch):
         rng = np.random.default_rng(26)
         basis = BasisMatrix(_random_orthonormal(rng, 9, 4))
         placed = []
         monkeypatch.setattr(reconstruct, "qdeim_place", lambda b, n: placed.append(n))
-        with pytest.raises(error, match=message):
-            prefactor_curve(basis, 2, m_range, replace_sensors=replace)
+        with pytest.raises(RankError, match=r"m=5 outside 1\.\.4"):
+            prefactor_curve(basis, 5)
         assert placed == []
 
-    @pytest.mark.parametrize("replace", [False, True])
-    def test_matches_core_prefactor_without_building_cores(self, monkeypatch, replace):
+    def test_matches_core_prefactor_without_building_cores(self, monkeypatch):
         rng = np.random.default_rng(22)
         basis = BasisMatrix(_random_orthonormal(rng, 30, 8))
         calls = count_cores(monkeypatch)
-        curve = prefactor_curve(basis, 3, range(3, 9), replace_sensors=replace)
+        fixed, replaced = prefactor_curve(basis, 3)
         assert calls == []
-        sel = qdeim_place(basis.leading(3), 3)
-        for m, value in curve:
-            if replace:
-                sel = qdeim_place(basis.leading(m), 3)
-            expect = build_deim_core(basis.leading(m), sel).prefactor
-            assert value == pytest.approx(expect, rel=1e-12)
+        held = qdeim_place(basis.leading(3), 3)
+        for curve, place in ((fixed, lambda m: held),
+                             (replaced, lambda m: qdeim_place(basis.leading(m), 3))):
+            assert [m for m, _ in curve] == list(range(3, 9))
+            for m, value in curve:
+                expect = build_deim_core(basis.leading(m), place(m)).prefactor
+                assert value == pytest.approx(expect, rel=1e-12)
 
-    @pytest.mark.parametrize("replace", [False, True])
-    def test_rank_deficient_sampling_rejected(self, monkeypatch, replace):
-        # sensors on a zero row of Phi: S^T Phi loses rank
+    @pytest.mark.parametrize("bad_call", [0, 1], ids=["fixed", "replaced"])
+    def test_rank_deficient_sampling_rejected(self, monkeypatch, bad_call):
+        # sensors on a zero row of Phi: S^T Phi loses rank; the first
+        # placement serves the fixed curve, the second the replaced one
         phi = np.zeros((4, 2))
         phi[0, 0] = 1.0
         phi[1, 1] = 1.0
-        monkeypatch.setattr(reconstruct, "qdeim_place", lambda basis, n: SensorSelection(4, [0, 3]))
+        calls = []
+
+        def place(basis, n):
+            calls.append(n)
+            return SensorSelection(4, [0, 3] if len(calls) - 1 == bad_call else [0, 1])
+
+        monkeypatch.setattr(reconstruct, "qdeim_place", place)
         with pytest.raises(AssumptionError):
-            prefactor_curve(BasisMatrix(phi), 2, [2], replace_sensors=replace)
+            prefactor_curve(BasisMatrix(phi), 2)
+        assert len(calls) == bad_call + 1
 
 
 class TestTwoStage:
