@@ -6,20 +6,21 @@ pod and place are one command: run_pipeline's first stages, timed by its
 _stage, so a failure names its stage as the pipeline's does."""
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from . import linalg
 from .experiments import (
     ExperimentConfig,
     _stage,
     fit_basis,
     generate_trajectories,
+    json_text,
     list_presets,
     load_preset,
     place_sensors,
     run_pipeline,
+    write_csvs,
+    write_json,
 )
 from .properties import run_all
 
@@ -46,26 +47,23 @@ def cmd_stages(args):
     """generate, pod and place: the pipeline's first stages, each under its
     stage timer, up to the one the command names; writes that stage's files."""
     cfg = _load_config(args)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     timings = {}
     with _stage(timings, "generate"):
         train, test = generate_trajectories(cfg)
     if args.command == "generate":
+        out = write_csvs(cfg.output_dir, ("train.csv", "test.csv"), train=train, test=test)
         for name, traj in (("train.csv", train), ("test.csv", test)):
-            traj.to_csv(out / name)
             print(f"wrote {out / name} ({traj.states.shape[0]} x {traj.states.shape[1]})")
         return 0
     with _stage(timings, "pod"):
         _, basis = fit_basis(cfg, train)
     if args.command == "pod":
-        linalg.save_matrix_csv(out / "pod_modes.csv", basis.phi)
-        linalg.save_matrix_csv(out / "singular_values.csv", basis.singular_values.reshape(-1, 1))
+        out = write_csvs(cfg.output_dir, ("pod_modes.csv", "singular_values.csv"), basis=basis)
         print(f"wrote {out / 'pod_modes.csv'} and {out / 'singular_values.csv'}")
         return 0
     with _stage(timings, "place"):
         sel = place_sensors(cfg, basis)
-    sel.to_csv(out / "sensors.csv")
+    write_csvs(cfg.output_dir, ("sensors.csv",), selection=sel)
     print(f"sensor indices: {[int(i) for i in sel.indices]}")
     return 0
 
@@ -73,7 +71,7 @@ def cmd_stages(args):
 def cmd_pipeline(args):
     cfg = _load_config(args)
     result = run_pipeline(cfg)
-    print(json.dumps(result.summary, indent=2, sort_keys=True))
+    print(json_text(result.summary), end="")
     print(f"artifacts in {cfg.output_dir}", file=sys.stderr)
     return 0
 
@@ -96,9 +94,7 @@ def cmd_properties(args):
             failures += 0 if ok else 1
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        with open(Path(args.out) / "properties.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(Path(args.out) / "properties.json", payload)
     print(f"{failures} failing check(s)")
     return 1 if failures else 0
 

@@ -50,9 +50,6 @@ class Trajectory:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", x)
 
-    def to_csv(self, path):
-        linalg.save_matrix_csv(path, np.column_stack([self.times, self.states]))
-
 
 def lorenz63(sigma=10.0, rho=28.0, beta=8.0 / 3.0):
     """Classic three-variable convection model:

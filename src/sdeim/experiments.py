@@ -19,8 +19,9 @@ import numbers
 import time
 from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from types import SimpleNamespace
 from typing import ClassVar
 
 import numpy as np
@@ -50,6 +51,8 @@ SPINUP_DT = 0.01
 SNAPSHOT_DT = 0.01
 
 FIELDS = {"lorenz63": lorenz63, "lorenz96": lorenz96, "linear": linear_field}
+JSON_TYPES = {type(None): "null", bool: "boolean", int: "number", float: "number",
+              str: "string", list: "array"}
 
 
 def _is_number(v, kind=numbers.Real):
@@ -130,18 +133,22 @@ class ExperimentConfig:
                 raise ConfigError(name, "every entry must be a finite number")
 
     def __setattr__(self, name, value):
-        """Once built, an assignment first builds the config it makes, so
-        every check runs again: a rejected value is a ConfigError that
-        leaves this config unchanged, and an accepted one brings that
-        config's vector_field with it."""
+        """Once built, an assignment first builds (by from_dict) the config it
+        makes: a name that is no field, or a rejected value, is a ConfigError
+        that leaves this config unchanged; an accepted one brings its field."""
         if "vector_field" in self.__dict__:
-            object.__setattr__(self, "vector_field", replace(self, **{name: value}).vector_field)
+            built = self.from_dict({**asdict(self), name: value})
+            object.__setattr__(self, "vector_field", built.vector_field)
         object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, d):
-        """The config from a dict of field values; a key that names no
-        field, or a required field left out, raises ConfigError(key)."""
+        """The config from a mapping of field values; a value that is no
+        mapping raises ConfigError("config"), a key that names no field, or
+        a required field left out, ConfigError(key)."""
+        if not isinstance(d, Mapping):
+            kind = JSON_TYPES.get(type(d), type(d).__name__)
+            raise ConfigError("config", f"must be a JSON object, got {kind}")
         known = {f.name for f in fields(cls)}
         for key in d:
             if key not in known:
@@ -153,20 +160,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path, **overrides):
-        with open(path) as fh:
-            return cls.from_dict({**json.load(fh), **overrides})
+        d = json.loads(Path(path).read_text())
+        return cls.from_dict({**d, **overrides} if isinstance(d, Mapping) else d)
 
 
-def _preset_dir():
-    return Path(__file__).parent / "presets"
+PRESETS = Path(__file__).parent / "presets"
 
 
 def list_presets():
-    return sorted(p.stem for p in _preset_dir().glob("*.json"))
+    return sorted(p.stem for p in PRESETS.glob("*.json"))
 
 
 def load_preset(name, **overrides):
-    path = _preset_dir() / f"{name}.json"
+    path = PRESETS / f"{name}.json"
     if not path.exists():
         raise FileNotFoundError(f"no preset named {name!r}; available: {list_presets()}")
     return ExperimentConfig.from_json(path, **overrides)
@@ -304,12 +310,8 @@ def run_pipeline(config, write=True):
         "sigma6_raw": float(raw_sv[5]) if raw_sv.size > 5 else None,
         "prefactor_curve": [[m, v] for m, v in pf_fixed],
         "prefactor_curve_replaced": [[m, v] for m, v in pf_replaced],
-        "n_modes": config.n_modes,
-        "n_sensors": config.n_sensors,
-        "noise_std": config.noise_std,
-        "seed": config.seed,
-        "center": config.center,
-        "obs_dt": config.obs_dt,
+        **{name: getattr(config, name)
+           for name in ("n_modes", "n_sensors", "noise_std", "seed", "center", "obs_dt")},
     }
 
     result = PipelineResult(
@@ -334,41 +336,52 @@ def run_pipeline(config, write=True):
     return result
 
 
-def write_artifacts(result):
-    out = Path(result.config.output_dir)
+# Every numeric CSV a run writes: file name -> its columns, left to right.
+CSV_COLUMNS = {
+    "train.csv": lambda r: (r.train.times, r.train.states),
+    "test.csv": lambda r: (r.test.times, r.test.states),
+    "pod_modes.csv": lambda r: (r.basis.phi,),
+    "singular_values.csv": lambda r: (r.basis.singular_values,),
+    "observations.csv": lambda r: (r.observations.times, r.observations.samples),
+    "errors_vanilla.csv": lambda r: (
+        r.test.times, r.errors_vanilla[r.config.vanilla_modes or r.config.n_modes]),
+    "errors_dasdeim.csv": lambda r: (r.test.times, r.errors_dasdeim),
+    "xi_path.csv": lambda r: (r.test.times, r.xi_path),
+    "reconstruction.csv": lambda r: (r.reconstruction.times, r.reconstruction.states),
+    "prefactor_curve.csv": lambda r: (np.array(r.prefactors_fixed, dtype=float),),
+}
+
+
+def write_csvs(out, names, **outputs):
+    """Write the named CSVs into directory out (made if missing), returned as a
+    Path, from the stage outputs given by keyword as PipelineResult names
+    them: sensors.csv as selection's indices on one line, any other its
+    CSV_COLUMNS (time first where there is one) through save_matrix_csv."""
+    out, run = Path(out), SimpleNamespace(**outputs)
     out.mkdir(parents=True, exist_ok=True)
-    result.train.to_csv(out / "train.csv")
-    result.test.to_csv(out / "test.csv")
-    linalg.save_matrix_csv(out / "singular_values.csv", result.basis.singular_values.reshape(-1, 1))
-    result.selection.to_csv(out / "sensors.csv")
-    result.observations.to_csv(out / "observations.csv")
-    v_modes = result.config.vanilla_modes or result.config.n_modes
-    linalg.save_matrix_csv(
-        out / "errors_vanilla.csv",
-        np.column_stack([result.test.times, result.errors_vanilla[v_modes]]),
-    )
-    linalg.save_matrix_csv(
-        out / "errors_dasdeim.csv",
-        np.column_stack([result.test.times, result.errors_dasdeim]),
-    )
-    linalg.save_matrix_csv(
-        out / "xi_path.csv",
-        np.column_stack([result.test.times, result.xi_path]),
-    )
-    result.reconstruction.to_csv(out / "reconstruction.csv")
-    linalg.save_matrix_csv(
-        out / "prefactor_curve.csv",
-        np.array(result.prefactors_fixed, dtype=float),
-    )
-    with open(out / "summary.json", "w") as fh:
-        json.dump(result.summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "timings.json", "w") as fh:
-        json.dump(result.timings, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for name in names:
+        if name == "sensors.csv":
+            (out / name).write_text(",".join(map(str, run.selection.indices)) + "\n")
+        else:
+            linalg.save_matrix_csv(out / name, np.column_stack(CSV_COLUMNS[name](run)))
+    return out
+
+
+def json_text(obj):
+    """The one JSON layout, of every file written and of what the CLI prints."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path, obj):
+    Path(path).write_text(json_text(obj))
+
+
+def write_artifacts(result):
+    names = ["sensors.csv", *(name for name in CSV_COLUMNS if name != "pod_modes.csv")]
+    out = write_csvs(result.config.output_dir, names, **vars(result))
+    write_json(out / "summary.json", result.summary)
+    write_json(out / "timings.json", result.timings)
 
 
 def config_to_json(config, path):
-    with open(path, "w") as fh:
-        json.dump(asdict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, asdict(config))

@@ -38,10 +38,6 @@ class SensorSelection:
     def n(self):
         return int(self.indices.size)
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(",".join(str(i) for i in self.indices) + "\n")
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -74,9 +70,6 @@ class ObservationSeries:
     @property
     def dt(self):
         return float(self.times[1] - self.times[0])
-
-    def to_csv(self, path):
-        linalg.save_matrix_csv(path, np.column_stack([self.times, self.samples]))
 
 
 def qdeim_place(basis, n):

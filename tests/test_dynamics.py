@@ -343,16 +343,6 @@ class TestKernelSets:
 
 
 class TestTrajectory:
-    def test_csv_round_trip(self, tmp_path):
-        t = np.array([0.0, 0.1, 0.2])
-        x = np.arange(6.0).reshape(3, 2)
-        traj = Trajectory(t, x)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        back = np.loadtxt(path, delimiter=",", ndmin=2)
-        assert np.array_equal(back[:, 0], t)
-        assert np.array_equal(back[:, 1:], x)
-
     def test_rejects_decreasing_times(self):
         for times in ([0.0, 0.2, 0.1], [0.0, math.nan, 0.2], [0.0, 0.1, math.inf],
                       [-math.inf, 0.0, 0.1], [math.nan]):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, fields, replace
@@ -14,6 +15,7 @@ from sdeim.errors import ConfigError, DivergenceError, RankError
 from sdeim.experiments import (
     ExperimentConfig,
     config_to_json,
+    fit_basis,
     generate_trajectories,
     list_presets,
     load_preset,
@@ -23,6 +25,7 @@ from sdeim.sensing import build_deim_core
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 
 def run_cli(*args):
@@ -179,10 +182,12 @@ class TestPresets:
     def test_rejected_assignment_leaves_the_config_unchanged(self):
         cfg = load_preset("lorenz63")
         before, field = asdict(cfg), cfg.vector_field
-        with pytest.raises(ConfigError) as err:
-            cfg.n_modes = 7
-        assert err.value.field == "n_modes"
-        assert asdict(cfg) == before and cfg.vector_field is field
+        for name, value in (("n_modes", 7), ("n_sensor", 2), ("vector_field", field)):
+            with pytest.raises(ConfigError) as err:
+                setattr(cfg, name, value)
+            assert err.value.field == name
+            assert asdict(cfg) == before and cfg.vector_field is field
+        assert "n_sensor" not in vars(cfg)
 
 
 class TestGenerate:
@@ -237,6 +242,35 @@ class TestPipeline:
             - result.observations.samples
         )
         assert resid.max() < 1e-8
+
+    def test_csv_files_read_back_to_their_arrays(self, tmp_path, linear_cfg):
+        # every number bit for bit, time first where there is one
+        result = run_pipeline(replace(linear_cfg, output_dir=str(tmp_path)))
+        t, pf = result.test.times, result.prefactors_fixed
+        v_modes = linear_cfg.vanilla_modes or linear_cfg.n_modes
+        expected = {
+            "train.csv": (result.train.times, result.train.states),
+            "test.csv": (t, result.test.states),
+            "singular_values.csv": (result.basis.singular_values,),
+            "observations.csv": (result.observations.times, result.observations.samples),
+            "errors_vanilla.csv": (t, result.errors_vanilla[v_modes]),
+            "errors_dasdeim.csv": (t, result.errors_dasdeim),
+            "xi_path.csv": (t, result.xi_path),
+            "reconstruction.csv": (result.reconstruction.times, result.reconstruction.states),
+            "prefactor_curve.csv": ([m for m, _ in pf], [v for _, v in pf]),
+        }
+        for name, columns in expected.items():
+            back = np.loadtxt(tmp_path / name, delimiter=",", ndmin=2)
+            want = np.column_stack(columns).astype(float)
+            assert back.shape == want.shape and back.tobytes() == want.tobytes(), name
+        sensors = np.loadtxt(tmp_path / "sensors.csv", delimiter=",", dtype=int, ndmin=1)
+        assert np.array_equal(sensors, result.selection.indices)
+
+    def test_readme_lists_the_files_a_run_leaves(self, tmp_path, linear_cfg):
+        table = README.read_text().split("`pipeline` writes these files")[1].split("\n\n")[1]
+        listed = {re.match(r"\| `([^`]+)` \|", row).group(1) for row in table.splitlines()[2:]}
+        run_pipeline(replace(linear_cfg, output_dir=str(tmp_path)))
+        assert listed == {p.name for p in tmp_path.iterdir()}
 
     def test_determinism_byte_identical_summaries(self, tmp_path, linear_cfg):
         cfg_a = replace(linear_cfg, output_dir=str(tmp_path / "a"))
@@ -336,6 +370,20 @@ class TestCli:
         header = (tmp_path / "train.csv").read_text().splitlines()[0]
         assert len(header.split(",")) == 9  # time + 8 state columns
 
+    def test_stage_commands_write_the_pipeline_files(self, tmp_path, capsys, linear_cfg):
+        assert cli.main(["pipeline", "--preset", "linear8", "--out", str(tmp_path / "pipeline")]) == 0
+        # the printed summary is summary.json's text
+        assert capsys.readouterr().out == (tmp_path / "pipeline" / "summary.json").read_text()
+        for cmd in ("generate", "pod", "place"):
+            assert cli.main([cmd, "--preset", "linear8", "--out", str(tmp_path / cmd)]) == 0
+        for cmd, name in (("generate", "train.csv"), ("generate", "test.csv"),
+                          ("pod", "singular_values.csv"), ("place", "sensors.csv")):
+            assert (tmp_path / cmd / name).read_bytes() == (
+                tmp_path / "pipeline" / name).read_bytes(), name
+        _, basis = fit_basis(linear_cfg, generate_trajectories(linear_cfg)[0])
+        modes = np.loadtxt(tmp_path / "pod" / "pod_modes.csv", delimiter=",", ndmin=2)
+        assert modes.tobytes() == basis.phi.tobytes() and modes.shape == basis.phi.shape
+
     def test_generate_deterministic_bytes(self, tmp_path):
         run_cli("generate", "--preset", "linear8", "--out", str(tmp_path / "a"))
         run_cli("generate", "--preset", "linear8", "--out", str(tmp_path / "b"))
@@ -394,6 +442,9 @@ class TestCli:
           for cmd in ("generate", "pod", "place")),
         pytest.param("generate", ["--config", "no_matrix.json"], "params: linear_field() "
                      "missing 1 required positional argument: 'matrix'", id="generate-params"),
+        *(pytest.param("pipeline", ["--config", f"{kind}.json"],
+                       f"config: must be a JSON object, got {kind}", id=f"pipeline-{kind}")
+          for kind in ("null", "array", "string")),
     ])
     def test_bad_config_reported_in_one_line(self, tmp_path, monkeypatch, cmd, flags, error):
         from sdeim.cli import main
@@ -401,6 +452,8 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "no_matrix.json").write_text(
             json.dumps({**asdict(load_preset("linear8")), "params": {}}))
+        for kind, text in (("null", "null"), ("array", "[1, 2]"), ("string", '"abc"')):
+            (tmp_path / f"{kind}.json").write_text(text)
         with pytest.raises(SystemExit) as info:
             main([cmd, *flags, "--out", str(tmp_path)])
         assert info.value.code == f"{cmd} failed: ConfigError: {error}"

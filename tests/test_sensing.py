@@ -35,13 +35,6 @@ class TestSensorSelection:
         with pytest.raises(DimensionError, match="need at least one sensor index"):
             SensorSelection(5, [])
 
-    def test_csv_round_trip(self, tmp_path):
-        sel = SensorSelection(9, [4, 0, 7])
-        path = tmp_path / "sensors.csv"
-        sel.to_csv(path)
-        back = np.loadtxt(path, delimiter=",", dtype=int, ndmin=1)
-        assert np.array_equal(back, sel.indices)
-
 
 class TestQdeimPlace:
     def test_identity_basis_permutation(self):
@@ -196,15 +189,6 @@ class TestObservationSeries:
             warnings.simplefilter("error")
             with pytest.raises(DimensionError):
                 ObservationSeries([0.0, 0.1, 0.2], [[bad], [1.0], [2.0]])
-
-    def test_csv_round_trip(self, tmp_path):
-        t = 0.2 * np.arange(5)
-        series = ObservationSeries(t, np.arange(10.0).reshape(5, 2))
-        path = tmp_path / "obs.csv"
-        series.to_csv(path)
-        back = np.loadtxt(path, delimiter=",", ndmin=2)
-        assert np.array_equal(back[:, 0], series.times)
-        assert np.array_equal(back[:, 1:], series.samples)
 
     def test_observe_trajectory(self):
         t = 0.1 * np.arange(4)
