@@ -88,14 +88,14 @@ def _kernel_ode(rhs, lifted, pz, offset, on_lists):
     t_end = float(lifted.times[-1])
     if not on_lists:
         def kernel_ode(t, xi):
-            return rhs(interpolate_obs(lifted, min(t, t_end)) + pz.dot(xi) + offset).dot(pz)
+            return rhs(interpolate_obs(lifted, t_end if t > t_end else t) + pz.dot(xi) + offset).dot(pz)
 
         return kernel_ode
     lifted = _FloatSeries(lifted.times.tolist(), lifted.samples.tolist())
     pz_rows, pz_cols, shift = pz.tolist(), pz.T.tolist(), offset.tolist()
 
     def kernel_ode(t, xi):
-        u = interpolate_obs(lifted, min(t, t_end))
+        u = interpolate_obs(lifted, t_end if t > t_end else t)
         r = rhs([a + sum(map(mul, row, xi)) + s for a, row, s in zip(u, pz_rows, shift)])
         return [sum(map(mul, r, col)) for col in pz_cols]
 

@@ -104,58 +104,22 @@ def rk4_step(f, u, dt):
     return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-# The two kernel sets rk4_drive steps with: x + a k, the four-stage combine
-# x + (((k1 + 2 k2) + 2 k3) + k4) h/6, and the divergence test (false for a
-# NaN, an infinity or a component beyond DIVERGENCE_LIMIT). Elementwise IEEE
-# arithmetic in the same order, so both give the same bits.
-
-
-def _array_axpy(x, a, k):
-    return x + a * k
-
-
-def _array_combine(x, sixth, k1, k2, k3, k4):
-    acc = k1 + 2.0 * k2
-    acc += 2.0 * k3
-    acc += k4
-    acc *= sixth
-    x += acc
-    return x
-
-
-def _array_bounded(x):
-    return abs(x).max() <= DIVERGENCE_LIMIT
-
-
-def _list_axpy(x, a, k):
-    return [xi + a * ki for xi, ki in zip(x, k, strict=True)]
-
-
-def _list_combine(x, sixth, k1, k2, k3, k4):
-    return [xi + (((a + 2.0 * b) + 2.0 * c) + d) * sixth
-            for xi, a, b, c, d in zip(x, k1, k2, k3, k4, strict=True)]
-
-
-def _list_bounded(x):
-    # not max(map(abs, x)), which skips a NaN that is not the first item
-    return all(abs(v) <= DIVERGENCE_LIMIT for v in x)
-
-
 def rk4_drive(rhs, x0, h, n_steps, record_every=1, t0=0.0):
     """Classical fixed-step RK4 for x' = rhs(t, x), the one time stepper:
     n_steps steps of size h from (t0, x0), recording the initial state,
     every record_every-th step and the last; returns (times, states) as
     arrays. A list x0 steps on Python float lists (rhs then takes and
-    returns lists), anything else on numpy arrays; both combine the stages
-    in rk4_step's order, bit for bit. Callers stepping a VectorField pass
-    a list when the field's on_lists is true. A NaN or a component beyond
-    DIVERGENCE_LIMIT after any step raises DivergenceError."""
-    if type(x0) is list:
-        x = [float(v) for v in x0]
-        axpy, combine, bounded = _list_axpy, _list_combine, _list_bounded
-    else:
-        x = np.array(x0, dtype=float)
-        axpy, combine, bounded = _array_axpy, _array_combine, _array_bounded
+    returns lists), anything else on numpy arrays. The step is written out
+    once per kernel set inside the one loop; both combine the stages in
+    rk4_step's order, x + (((k1 + 2 k2) + 2 k3) + k4) h/6, elementwise in
+    IEEE arithmetic, so both give the same bits. On lists, the four stage
+    results and the state must all have the same length, else
+    DimensionError naming the step's time. Callers stepping a VectorField
+    pass a list when the field's on_lists is true. A NaN, an infinity or a
+    component beyond DIVERGENCE_LIMIT after any step raises
+    DivergenceError."""
+    on_lists = type(x0) is list
+    x = [float(v) for v in x0] if on_lists else np.array(x0, dtype=float)
     steps = [*range(0, n_steps, record_every), n_steps]
     states = np.empty((len(steps), len(x)))
     states[0] = x
@@ -163,12 +127,30 @@ def rk4_drive(rhs, x0, h, n_steps, record_every=1, t0=0.0):
     row = 1
     for k in range(n_steps):
         t = t0 + k * h
-        k1 = rhs(t, x)
-        k2 = rhs(t + half, axpy(x, half, k1))
-        k3 = rhs(t + half, axpy(x, half, k2))
-        k4 = rhs(t + h, axpy(x, h, k3))
-        x = combine(x, sixth, k1, k2, k3, k4)
-        if not bounded(x):
+        if on_lists:
+            k1 = rhs(t, x)
+            k2 = rhs(t + half, [a + half * b for a, b in zip(x, k1)])
+            k3 = rhs(t + half, [a + half * b for a, b in zip(x, k2)])
+            k4 = rhs(t + h, [a + h * b for a, b in zip(x, k3)])
+            if not len(k1) == len(k2) == len(k3) == len(k4) == len(x):
+                raise DimensionError(f"rhs returned a list of the wrong length "
+                                     f"in the step from t={t:.6g}")
+            x = [xi + (((a + 2.0 * b) + 2.0 * c) + d) * sixth
+                 for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+            # not max(map(abs, x)), which skips a NaN that is not the first item
+            bounded = all(abs(v) <= DIVERGENCE_LIMIT for v in x)
+        else:
+            k1 = rhs(t, x)
+            k2 = rhs(t + half, x + half * k1)
+            k3 = rhs(t + half, x + half * k2)
+            k4 = rhs(t + h, x + h * k3)
+            acc = k1 + 2.0 * k2
+            acc += 2.0 * k3
+            acc += k4
+            acc *= sixth
+            x += acc
+            bounded = abs(x).max() <= DIVERGENCE_LIMIT
+        if not bounded:
             raise DivergenceError(f"state diverged at t={t + h:.6g}", t_last=t)
         if k + 1 == steps[row]:
             states[row] = x

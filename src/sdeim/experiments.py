@@ -160,7 +160,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path, **overrides):
-        d = json.loads(Path(path).read_text())
+        """from_dict of the file's JSON with overrides merged in; text that
+        is not valid JSON raises ConfigError("config")."""
+        try:
+            d = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError("config", f"{path} is not valid JSON ({exc})") from exc
         return cls.from_dict({**d, **overrides} if isinstance(d, Mapping) else d)
 
 

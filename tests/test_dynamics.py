@@ -290,6 +290,24 @@ class TestKernelSets:
         with pytest.raises(ZeroDivisionError):
             VectorField(dim=2, rhs=rhs)
 
+    @pytest.mark.parametrize("wrong", [-1, 1], ids=["shorter", "longer"])
+    def test_wrong_length_list_result_rejected(self, wrong):
+        # u' = (1, 1, 1), whose list rhs gives 3 + wrong entries once u_0 passes
+        # 0.5025: the step from t = 0.5 (dt = 0.01) is the first with a stage
+        # there (its second, at u_0 = 0.505), and the run stops in that step
+        seen = []
+
+        def rhs(u):
+            seen.append(u[0])
+            return [1.0] * (3 + wrong if u[0] > 0.5025 else 3)
+
+        f = VectorField(dim=3, rhs=rhs)
+        assert f.on_lists
+        with pytest.raises(DimensionError, match=r"in the step from t=0\.5$"):
+            integrate(f, np.zeros(3), 1.0, 0.01)
+        assert len(seen) == 1 + 4 * 51  # the probe, then four stages a step
+        assert max(seen) == pytest.approx(0.51)
+
     @pytest.mark.parametrize("dim", [2.5, -1, 0, True])
     def test_bad_dim_rejected_before_the_probe(self, dim):
         seen = []

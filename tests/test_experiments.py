@@ -445,6 +445,12 @@ class TestCli:
         *(pytest.param("pipeline", ["--config", f"{kind}.json"],
                        f"config: must be a JSON object, got {kind}", id=f"pipeline-{kind}")
           for kind in ("null", "array", "string")),
+        pytest.param("pipeline", ["--config", "truncated.json"], "config: truncated.json is "
+                     "not valid JSON (Expecting value: line 1 column 12 (char 11))",
+                     id="pipeline-truncated"),
+        pytest.param("pipeline", ["--config", "empty.json"], "config: empty.json is "
+                     "not valid JSON (Expecting value: line 1 column 1 (char 0))",
+                     id="pipeline-empty"),
     ])
     def test_bad_config_reported_in_one_line(self, tmp_path, monkeypatch, cmd, flags, error):
         from sdeim.cli import main
@@ -452,7 +458,8 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "no_matrix.json").write_text(
             json.dumps({**asdict(load_preset("linear8")), "params": {}}))
-        for kind, text in (("null", "null"), ("array", "[1, 2]"), ("string", '"abc"')):
+        for kind, text in (("null", "null"), ("array", "[1, 2]"), ("string", '"abc"'),
+                           ("truncated", '{"system": '), ("empty", "")):
             (tmp_path / f"{kind}.json").write_text(text)
         with pytest.raises(SystemExit) as info:
             main([cmd, *flags, "--out", str(tmp_path)])
