@@ -30,7 +30,7 @@ from .sensing import ObservationSeries
 TRANSIENT_FRACTION = 0.25
 
 # RK4 substeps per observation interval in das_deim's default step.
-KERNEL_SUBSTEPS = 20
+KERNEL_SUBSTEPS = 10
 
 
 class _FloatSeries(NamedTuple):

@@ -272,7 +272,7 @@ def assimilation_suite(seed=0):
     times = 0.05 * np.arange(121)
     series = ObservationSeries(times, np.zeros((121, 2)))
     xi0 = rng.normal(size=core.kernel_dim)
-    states = das_deim(core, f_lin, series, xi0=xi0, dt=0.05 / 20).reconstruction.states
+    states = das_deim(core, f_lin, series, xi0=xi0).reconstruction.states
     err0 = np.linalg.norm(states[0])
     _worst(res, "exponential decay within e^(rho t) envelope", LEAST_POSITIVE,
            [max(np.linalg.norm(x) - err0 * np.exp(rho * t) * (1 + 1e-3), 0.0) for t, x in zip(times, states)],

@@ -321,11 +321,13 @@ class TestDasDeim:
         rhs_calls = []
         g = VectorField(dim=3, rhs=lambda u: rhs_calls.append(type(u)) or f.rhs(u))
         rhs_calls.clear()  # the probe when g was built
-        run = das_deim(core, g, series, dt=series.dt / 20, offset=mean)
-        n_stages = 4 * 20 * (series.times.size - 1)
+        run = das_deim(core, g, series, offset=mean)  # the default step
+        n_stages = 4 * assimilate.KERNEL_SUBSTEPS * (series.times.size - 1)
         # one field call and one interpolation a stage, all on lists
         assert interpolate_calls == [True] * n_stages and rhs_calls == [list] * n_stages
+        explicit = das_deim(core, f, series, dt=series.dt / assimilate.KERNEL_SUBSTEPS, offset=mean)
         assert np.all(np.isfinite(run.xi_path))
+        assert np.array_equal(run.xi_path, explicit.xi_path)
 
     def test_array_only_small_field_takes_the_array_path(self, interpolate_calls):
         # the lorenz63 case's field behind an rhs written for arrays only
@@ -401,16 +403,20 @@ class TestDasDeim:
 class TestKernelSubsteps:
     """How far das_deim's error summary moves when the kernel ODE's step
     is halved, from KERNEL_SUBSTEPS substeps per observation interval to
-    twice that, on shortened lorenz63 and lorenz96 runs.
+    twice that, on shortened lorenz63, lorenz63_noisy and lorenz96 runs.
 
-    A guard for cutting KERNEL_SUBSTEPS. On the full presets, 5 against
-    10 substeps moved the post-transient DAS-DEIM mean or min by at most
-    5.3e-5 relative (lorenz96's min), 2 against 4 by 2.0e-3, and 5
-    against 20 moved every preset's mean by at most 8e-8.
+    A guard for cutting KERNEL_SUBSTEPS. On the four full presets, 10
+    against 20 substeps moved the post-transient DAS-DEIM mean by at most
+    4.7e-9 relative (lorenz63: 4.7e-9, lorenz96: 3.6e-9, lorenz63_noisy:
+    2.1e-11, linear8: 5.3e-12) and the min by at most 3.3e-6 (lorenz96:
+    3.3e-6, lorenz63: 1.2e-6, lorenz63_noisy: 1.6e-8, linear8: 6.3e-12).
+    5 against 10 substeps moved them by at most 5.3e-5 (lorenz96's min),
+    and 2 against 4 by 2.0e-3.
     """
 
     @pytest.mark.parametrize("preset, spans", [
         ("lorenz63", dict(spinup=5.0, train_horizon=10.0, test_horizon=3.0)),
+        ("lorenz63_noisy", dict(spinup=5.0, train_horizon=10.0, test_horizon=3.0)),
         ("lorenz96", dict(spinup=50.0, train_horizon=20.0, test_horizon=10.0)),
     ])
     def test_halving_the_step_moves_the_summary_below_1e_4(self, preset, spans):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdeim import cli, experiments, reconstruct
+from sdeim import assimilate, cli, experiments, reconstruct
 from sdeim.dynamics import VectorField
 from sdeim.errors import ConfigError, DivergenceError, RankError
 from sdeim.experiments import (
@@ -271,6 +271,12 @@ class TestPipeline:
         listed = {re.match(r"\| `([^`]+)` \|", row).group(1) for row in table.splitlines()[2:]}
         run_pipeline(replace(linear_cfg, output_dir=str(tmp_path)))
         assert listed == {p.name for p in tmp_path.iterdir()}
+
+    def test_readme_states_the_kernel_substep_count(self):
+        text = " ".join(README.read_text().split())
+        stated = re.findall(r"`assimilate\.KERNEL_SUBSTEPS = (\d+)`", text)
+        stated += re.findall(r"observation spacing / (\d+) for the kernel ODE", text)
+        assert stated == [str(assimilate.KERNEL_SUBSTEPS)] * 2
 
     def test_determinism_byte_identical_summaries(self, tmp_path, linear_cfg):
         cfg_a = replace(linear_cfg, output_dir=str(tmp_path / "a"))
