@@ -30,7 +30,7 @@ from .sensing import ObservationSeries
 TRANSIENT_FRACTION = 0.25
 
 # RK4 substeps per observation interval in das_deim's default step.
-KERNEL_SUBSTEPS = 10
+KERNEL_SUBSTEPS = 5
 
 
 class _FloatSeries(NamedTuple):
