@@ -31,7 +31,6 @@ from .linalg import (
     nullspace_orthonormal,
     pinv,
     qr_column_pivot,
-    save_matrix_csv,
     spectral_norm,
     svd_thin,
 )
@@ -47,7 +46,6 @@ from .reconstruct import (
 )
 from .sensing import (
     DeimCore,
-    NoiseSpec,
     ObservationSeries,
     SensorSelection,
     add_noise,

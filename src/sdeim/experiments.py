@@ -26,7 +26,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import linalg
 from .assimilate import (KERNEL_SUBSTEPS, das_deim, post_transient, post_transient_mean,
                          relative_error_series)
 from .dynamics import Trajectory, advance, integrate, linear_field, lorenz63, lorenz96, whole_steps
@@ -34,7 +33,6 @@ from .errors import ConfigError
 from .pod import BasisMatrix, compute_pod
 from .reconstruct import prefactor_curve, vanilla_deim
 from .sensing import (
-    NoiseSpec,
     ObservationSeries,
     SensorSelection,
     add_noise,
@@ -277,7 +275,7 @@ def run_pipeline(config, write=True):
 
     with _stage(timings, "observe"):
         clean = observe_trajectory(test.times, test.states - mean, selection)
-        observations = add_noise(clean, NoiseSpec(config.noise_std, config.seed))
+        observations = add_noise(clean, config.noise_std, config.seed)
 
     v_modes = config.vanilla_modes or config.n_modes
     with _stage(timings, "vanilla"):
@@ -361,14 +359,16 @@ def write_csvs(out, names, **outputs):
     """Write the named CSVs into directory out (made if missing), returned as a
     Path, from the stage outputs given by keyword as PipelineResult names
     them: sensors.csv as selection's indices on one line, any other its
-    CSV_COLUMNS (time first where there is one) through save_matrix_csv."""
+    CSV_COLUMNS (time first where there is one), one row per line, at %.17e,
+    which round-trips float64 exactly."""
     out, run = Path(out), SimpleNamespace(**outputs)
     out.mkdir(parents=True, exist_ok=True)
     for name in names:
         if name == "sensors.csv":
             (out / name).write_text(",".join(map(str, run.selection.indices)) + "\n")
         else:
-            linalg.save_matrix_csv(out / name, np.column_stack(CSV_COLUMNS[name](run)))
+            np.savetxt(out / name, np.column_stack(CSV_COLUMNS[name](run)), fmt="%.17e",
+                       delimiter=",")
     return out
 
 

@@ -165,10 +165,3 @@ def spectral_norm(a):
     """Largest singular value."""
     a = _as_matrix(a, "spectral_norm input")
     return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
-def save_matrix_csv(path, a):
-    """One matrix row per line, comma-separated; %.17e round-trips float64
-    exactly."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    np.savetxt(path, a, fmt="%.17e", delimiter=",")

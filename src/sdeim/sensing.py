@@ -40,18 +40,6 @@ class SensorSelection:
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    """Additive Gaussian observation noise, reproducible per seed."""
-
-    std_dev: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not np.isfinite(self.std_dev) or self.std_dev < 0:
-            raise ValueError("std_dev must be finite and nonnegative")
-
-
-@dataclass(frozen=True)
 class ObservationSeries:
     """Uniformly spaced sensor samples: times (K,) finite, strictly increasing; samples (K, n) finite."""
 
@@ -75,8 +63,11 @@ class ObservationSeries:
 def qdeim_place(basis, n):
     """Sensor placement from the column-pivot order of Phi^T: the first n
     pivots, from n pivoting steps and no Q (DimensionError unless
-    1 <= n <= N). Deterministic given the basis (ties resolve to lowest
-    index)."""
+    1 <= n <= m, the basis's mode count). Deterministic given the basis
+    (ties resolve to lowest index)."""
+    linalg.check_count(n, "n")
+    if n > basis.n_modes:
+        raise DimensionError(f"n={n} sensors exceed the basis's n_modes={basis.n_modes}")
     return SensorSelection(basis.dim, linalg.column_pivots(basis.phi.T, n))
 
 
@@ -95,13 +86,16 @@ def observe_trajectory(times, states, sel):
     return ObservationSeries(np.asarray(times, dtype=float), states[:, sel.indices])
 
 
-def add_noise(series, spec):
-    """Independent N(0, std) draws on every sample entry; the seeded
-    generator makes equal seeds produce bit-identical output."""
-    if spec.std_dev == 0.0:
+def add_noise(series, std_dev, seed):
+    """Independent N(0, std_dev) draws on every sample entry (ValueError
+    unless std_dev is finite and nonnegative); the seeded generator makes
+    equal seeds produce bit-identical output."""
+    if not np.isfinite(std_dev) or std_dev < 0:
+        raise ValueError("std_dev must be finite and nonnegative")
+    if std_dev == 0.0:
         return ObservationSeries(series.times.copy(), series.samples.copy())
-    rng = np.random.default_rng(spec.seed)
-    noise = rng.normal(0.0, spec.std_dev, size=series.samples.shape)
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, std_dev, size=series.samples.shape)
     return ObservationSeries(series.times.copy(), series.samples + noise)
 
 

@@ -3,11 +3,11 @@
 Each test prints one [PASS]/[FAIL] line (visible with pytest -s). The
 Lorenz pipelines run once per preset in session fixtures; stage timings
 come from the pipeline itself so runtime budgets are attributed to the
-stages each criterion exercises. A last guard reruns the assimilation of
-the same fixtures at half the kernel ODE's step.
+stages each criterion exercises. Criterion 9 reads the session's one
+property report (tests/conftest.py). A last guard reruns the assimilation
+of the same fixtures, and of the linear8 preset, at half the kernel ODE's
+step.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -16,14 +16,6 @@ from sdeim.assimilate import (KERNEL_SUBSTEPS, das_deim, post_transient, post_tr
                               relative_error_series)
 from sdeim.experiments import load_preset, run_pipeline
 from sdeim.pod import compute_pod
-from sdeim.properties import (
-    assimilation_suite,
-    dynamics_suite,
-    matrix_core_suite,
-    pod_suite,
-    reconstruction_suite,
-    sensing_suite,
-)
 from sdeim.sensing import build_deim_core, qdeim_place
 
 
@@ -46,6 +38,11 @@ def l63_noisy(request):
 @pytest.fixture(scope="session")
 def l96(request):
     return run_pipeline(load_preset("lorenz96"), write=False)
+
+
+@pytest.fixture(scope="session")
+def linear8():
+    return run_pipeline(load_preset("linear8"), write=False)
 
 
 def test_criterion_1_lorenz63_vanilla_square(l63):
@@ -122,20 +119,10 @@ def test_criterion_8_prefactor_monotonicity(l96):
                    + ", ".join(f"{v:.3f}" for v in vals))
 
 
-def test_criterion_9_property_suites():
-    t0 = time.perf_counter()
-    checks = {}
-    for suite in (
-        matrix_core_suite,
-        pod_suite,
-        sensing_suite,
-        reconstruction_suite,
-        dynamics_suite,
-        assimilation_suite,
-    ):
-        for name, ok, detail in suite(seed=0):
-            checks[name] = (ok, detail)
-    runtime = time.perf_counter() - t0
+def test_criterion_9_property_suites(property_report):
+    checks = {name: (ok, detail) for suite in property_report.checks.values()
+              for name, ok, detail in suite}
+    runtime = property_report.seconds
     required = [
         "error decomposition identity over 100 instances",
         "interpolation property over 100 instances",
@@ -153,13 +140,27 @@ def test_criterion_9_property_suites():
                    + (f"; failures: {failures}" if failures else ""))
 
 
-@pytest.mark.parametrize("preset", ["l63", "l63_noisy", "l96"])
+@pytest.mark.parametrize("preset", ["l63", "l63_noisy", "l96", "linear8"])
 def test_full_preset_summary_holds_at_half_the_kernel_step(preset, request):
     """Criteria 3, 4 and 7 read das_deim at its default step on the full
-    presets. Rerun at half that step, the post-transient DAS-DEIM mean and
-    min must move by at most 1e-4 relative. At 5 against 10 substeps per
-    observation interval they moved at most 5.3e-5 (lorenz96's min); at 4
-    against 8 that min moved 1.3e-4, which this guard would refuse."""
+    presets. Rerun at half that step, from KERNEL_SUBSTEPS substeps per
+    observation interval to twice that, the post-transient DAS-DEIM mean
+    and min must move by at most 1e-4 relative; linear8, whose kernel does
+    not contract, checks the array path too.
+
+    Relative moves of the mean / min:
+
+    - 5 against 10 substeps: lorenz63 7.4e-8 / 2.0e-5, lorenz63_noisy
+      2.9e-10 / 2.6e-7, lorenz96 5.2e-8 / 5.3e-5, linear8 8.4e-11 /
+      1.0e-10;
+    - 4 against 8: lorenz63 1.8e-7 / 4.9e-5, lorenz96 1.2e-7 / 1.3e-4
+      (past the bound, so this guard would refuse it), the other two
+      ≤ 6.2e-7;
+    - 3 against 6: lorenz63 5.6e-7 / 1.6e-4, lorenz96 3.5e-7 / 4.0e-4.
+
+    Shortened lorenz runs under-read these moves: on them 5 against 10
+    moved them by ≤ 5.4e-6, 4 against 8 by ≤ 1.4e-5 and 3 against 6 by
+    ≤ 4.7e-5 (lorenz96 each time)."""
     result = request.getfixturevalue(preset)
     series = result.observations
     run = das_deim(build_deim_core(result.basis, result.selection), result.config.vector_field,

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from operator import mul
 
 import numpy as np
@@ -12,7 +11,6 @@ from sdeim.assimilate import (
     interpolate_obs,
     kernel_rhs,
     one_sided_lipschitz_linear,
-    post_transient,
     post_transient_mean,
     relative_error_series,
 )
@@ -26,7 +24,6 @@ from sdeim.dynamics import (
     lorenz96,
 )
 from sdeim.errors import DimensionError, DivergenceError, ObservationRangeError
-from sdeim.experiments import load_preset, run_pipeline
 from sdeim.pod import BasisMatrix, compute_pod
 from sdeim.properties import _random_core, _random_orthonormal
 from sdeim.reconstruct import vanilla_deim
@@ -400,48 +397,6 @@ class TestDasDeim:
         series = ObservationSeries(0.1 * np.arange(5), rng.normal(size=(5, 2)))
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             das_deim(core, linear_field(-np.eye(6)), series, dt=dt)
-
-
-class TestKernelSubsteps:
-    """How far das_deim's error summary moves when the kernel ODE's step
-    is halved, from KERNEL_SUBSTEPS substeps per observation interval to
-    twice that, on shortened lorenz63, lorenz63_noisy and lorenz96 runs
-    and on the full linear8 preset, whose kernel does not contract, on the
-    array path. tests/test_acceptance.py holds the same guard on the full
-    lorenz presets, which the shortened runs under-read.
-
-    Relative moves of the post-transient DAS-DEIM mean / min on the full
-    presets:
-
-    - 5 against 10 substeps: lorenz63 7.4e-8 / 2.0e-5, lorenz63_noisy
-      2.9e-10 / 2.6e-7, lorenz96 5.2e-8 / 5.3e-5, linear8 8.4e-11 /
-      1.0e-10;
-    - 4 against 8: lorenz63 1.8e-7 / 4.9e-5, lorenz96 1.2e-7 / 1.3e-4
-      (past the 1e-4 bound), the other two ≤ 6.2e-7;
-    - 3 against 6: lorenz63 5.6e-7 / 1.6e-4, lorenz96 3.5e-7 / 4.0e-4.
-
-    On the shortened runs 5 against 10 moved them by ≤ 5.4e-6, 4 against 8
-    by ≤ 1.4e-5 and 3 against 6 by ≤ 4.7e-5 (lorenz96 each time).
-    """
-
-    @pytest.mark.parametrize("preset, spans", [
-        ("lorenz63", dict(spinup=5.0, train_horizon=10.0, test_horizon=3.0)),
-        ("lorenz63_noisy", dict(spinup=5.0, train_horizon=10.0, test_horizon=3.0)),
-        ("lorenz96", dict(spinup=50.0, train_horizon=20.0, test_horizon=10.0)),
-        ("linear8", {}),
-    ])
-    def test_halving_the_step_moves_the_summary_below_1e_4(self, preset, spans):
-        config = replace(load_preset(preset), **spans)
-        result = run_pipeline(config, write=False)  # das_deim at KERNEL_SUBSTEPS
-        series = result.observations
-        run = das_deim(build_deim_core(result.basis, result.selection), config.vector_field,
-                       series, dt=series.dt / (2 * assimilate.KERNEL_SUBSTEPS),
-                       offset=result.mean)
-        errors = relative_error_series(run.reconstruction, result.test)
-        s = result.summary
-        for coarse, fine in ((s["dasdeim_post_transient_mean"], post_transient_mean(errors)),
-                             (s["dasdeim_post_transient_min"], np.nanmin(post_transient(errors)))):
-            assert abs(fine - coarse) <= 1e-4 * abs(coarse)
 
 
 class TestRelativeErrorSeries:

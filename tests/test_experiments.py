@@ -54,6 +54,14 @@ def linear_cfg():
     return load_preset("linear8")
 
 
+@pytest.fixture(scope="module")
+def linear_run(tmp_path_factory, linear_cfg):
+    """The module's one written default linear8 run, for the tests that only
+    read it; its files are in Path(linear_run.config.output_dir)."""
+    out = tmp_path_factory.mktemp("linear8")
+    return run_pipeline(replace(linear_cfg, output_dir=str(out)))
+
+
 class TestPresets:
     def test_bundled_presets_present(self):
         names = list_presets()
@@ -205,9 +213,8 @@ class TestGenerate:
 
 
 class TestPipeline:
-    def test_linear_pipeline_artifacts(self, tmp_path, linear_cfg):
-        cfg = replace(linear_cfg, output_dir=str(tmp_path))
-        result = run_pipeline(cfg)
+    def test_linear_pipeline_artifacts(self, linear_run):
+        result, out = linear_run, Path(linear_run.config.output_dir)
         for name in (
             "train.csv",
             "test.csv",
@@ -222,8 +229,8 @@ class TestPipeline:
             "summary.json",
             "timings.json",
         ):
-            assert (tmp_path / name).exists(), name
-        with open(tmp_path / "summary.json") as fh:
+            assert (out / name).exists(), name
+        with open(out / "summary.json") as fh:
             summary = json.load(fh)
         for key in (
             "vanilla_mean_rel_err",
@@ -243,9 +250,9 @@ class TestPipeline:
         )
         assert resid.max() < 1e-8
 
-    def test_csv_files_read_back_to_their_arrays(self, tmp_path, linear_cfg):
+    def test_csv_files_read_back_to_their_arrays(self, linear_run, linear_cfg):
         # every number bit for bit, time first where there is one
-        result = run_pipeline(replace(linear_cfg, output_dir=str(tmp_path)))
+        result, out = linear_run, Path(linear_run.config.output_dir)
         t, pf = result.test.times, result.prefactors_fixed
         v_modes = linear_cfg.vanilla_modes or linear_cfg.n_modes
         expected = {
@@ -260,17 +267,16 @@ class TestPipeline:
             "prefactor_curve.csv": ([m for m, _ in pf], [v for _, v in pf]),
         }
         for name, columns in expected.items():
-            back = np.loadtxt(tmp_path / name, delimiter=",", ndmin=2)
+            back = np.loadtxt(out / name, delimiter=",", ndmin=2)
             want = np.column_stack(columns).astype(float)
             assert back.shape == want.shape and back.tobytes() == want.tobytes(), name
-        sensors = np.loadtxt(tmp_path / "sensors.csv", delimiter=",", dtype=int, ndmin=1)
+        sensors = np.loadtxt(out / "sensors.csv", delimiter=",", dtype=int, ndmin=1)
         assert np.array_equal(sensors, result.selection.indices)
 
-    def test_readme_lists_the_files_a_run_leaves(self, tmp_path, linear_cfg):
+    def test_readme_lists_the_files_a_run_leaves(self, linear_run):
         table = README.read_text().split("`pipeline` writes these files")[1].split("\n\n")[1]
         listed = {re.match(r"\| `([^`]+)` \|", row).group(1) for row in table.splitlines()[2:]}
-        run_pipeline(replace(linear_cfg, output_dir=str(tmp_path)))
-        assert listed == {p.name for p in tmp_path.iterdir()}
+        assert listed == {p.name for p in Path(linear_run.config.output_dir).iterdir()}
 
     def test_readme_states_the_kernel_substep_count(self):
         text = " ".join(README.read_text().split())
@@ -278,12 +284,9 @@ class TestPipeline:
         stated += re.findall(r"observation spacing / (\d+) for the kernel ODE", text)
         assert stated == [str(assimilate.KERNEL_SUBSTEPS)] * 2
 
-    def test_determinism_byte_identical_summaries(self, tmp_path, linear_cfg):
-        cfg_a = replace(linear_cfg, output_dir=str(tmp_path / "a"))
-        cfg_b = replace(linear_cfg, output_dir=str(tmp_path / "b"))
-        run_pipeline(cfg_a)
-        run_pipeline(cfg_b)
-        bytes_a = (tmp_path / "a" / "summary.json").read_bytes()
+    def test_determinism_byte_identical_summaries(self, tmp_path, linear_cfg, linear_run):
+        run_pipeline(replace(linear_cfg, output_dir=str(tmp_path / "b")))
+        bytes_a = (Path(linear_run.config.output_dir) / "summary.json").read_bytes()
         bytes_b = (tmp_path / "b" / "summary.json").read_bytes()
         assert bytes_a == bytes_b
 
@@ -309,11 +312,11 @@ class TestPipeline:
         plain, wrapped = ((tmp_path / d / "summary.json").read_bytes() for d in ("plain", "wrapped"))
         assert wrapped == plain
 
-    def test_raw_spectrum_is_the_uncentred_basis_spectrum(self, linear_cfg):
+    def test_raw_spectrum_is_the_uncentred_basis_spectrum(self, linear_cfg, linear_run):
         # one route for both spectra: a centred run's raw spectrum is the
         # basis spectrum of the same run uncentred, bit for bit
         centred = run_pipeline(replace(linear_cfg, center=True), write=False)
-        uncentred = run_pipeline(linear_cfg, write=False)
+        uncentred = linear_run
         assert np.array_equal(uncentred.raw_singular_values, uncentred.basis.singular_values)
         assert np.array_equal(centred.raw_singular_values, uncentred.basis.singular_values)
         assert not np.array_equal(centred.basis.singular_values, uncentred.basis.singular_values)
@@ -349,10 +352,8 @@ class TestPipeline:
             "generate", "pod", "place", "observe", "vanilla", "assimilate", "prefactor",
         ]
 
-    def test_prefactor_curve_fixed_nonincreasing(self, tmp_path, linear_cfg):
-        cfg = replace(linear_cfg, output_dir=str(tmp_path))
-        result = run_pipeline(cfg, write=False)
-        vals = [v for _, v in result.prefactors_fixed]
+    def test_prefactor_curve_fixed_nonincreasing(self, linear_run):
+        vals = [v for _, v in linear_run.prefactors_fixed]
         assert all(vals[i + 1] <= vals[i] + 1e-9 for i in range(len(vals) - 1))
 
 

@@ -1,7 +1,6 @@
 """Only `experiments` writes files: no other module of the package calls
-open, json.dump, np.savetxt, save_matrix_csv, Path.write_text or
-Path.write_bytes, bar the np.savetxt inside linalg.save_matrix_csv that
-every numeric CSV goes through. So each file's layout is decided in one
+open, json.dump, np.savetxt, Path.write_text or Path.write_bytes. So each
+file's layout, and the number format of every CSV, is decided in one
 module."""
 
 import ast
@@ -11,8 +10,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sdeim"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "experiments.py")
-WRITERS = {"open", "dump", "savetxt", "save_matrix_csv", "write_text", "write_bytes"}
-ALLOWED = {"linalg.py": [("save_matrix_csv", "savetxt")]}
+WRITERS = {"open", "dump", "savetxt", "write_text", "write_bytes"}
 
 
 def file_writes(source):
@@ -35,19 +33,18 @@ def file_writes(source):
 
 
 def test_guard_sees_each_writer():
-    source = ("import json\nimport numpy as np\nfrom .linalg import save_matrix_csv\n"
+    source = ("import json\nimport numpy as np\n"
               "open('a', 'w')\n"
               "class T:\n"
               "    def to_csv(self, path):\n"
               "        json.dump({}, path)\n"
               "        np.savetxt(path, self.a)\n"
-              "        save_matrix_csv(path, self.a)\n"
               "        path.write_text('x')\n"
               "        path.write_bytes(b'x')\n")
     assert file_writes(source) == [(None, "open"), *(("to_csv", name) for name in (
-        "dump", "savetxt", "save_matrix_csv", "write_text", "write_bytes"))]
+        "dump", "savetxt", "write_text", "write_bytes"))]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_only_experiments_writes_files(path):
-    assert file_writes(path.read_text()) == ALLOWED.get(path.name, [])
+    assert file_writes(path.read_text()) == []

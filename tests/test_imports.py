@@ -1,13 +1,19 @@
-"""Every name a module of the package imports is used in that module
-(the package's __init__, which imports to re-export, excepted)."""
+"""Every name a module of the package, a test module or a demo imports is
+used in that module (the package's __init__, which imports to re-export,
+excepted)."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sdeim"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sdeim"
+MODULES = [
+    *sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    *sorted((ROOT / "tests").glob("*.py")),
+    *sorted((ROOT / "demos").glob("*.py")),
+]
 
 
 def unused_imports(source):
@@ -28,6 +34,6 @@ def test_guard_sees_an_unused_import():
                           "raise RankError\n") == ["DimensionError", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(PACKAGE if p.parent == PACKAGE else ROOT)) for p in MODULES])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []

@@ -210,13 +210,3 @@ class TestSpectralNorm:
             v /= np.linalg.norm(v)
         estimate = np.linalg.norm(a @ v)
         assert linalg.spectral_norm(a) == pytest.approx(estimate, rel=1e-8)
-
-
-class TestCsvRoundTrip:
-    def test_round_trip_preserves_exactly(self, tmp_path):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(4, 3)) * np.pi
-        path = tmp_path / "m.csv"
-        linalg.save_matrix_csv(path, a)
-        b = np.loadtxt(path, delimiter=",", ndmin=2)
-        assert np.array_equal(a, b)

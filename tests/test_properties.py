@@ -1,4 +1,6 @@
-"""The invariant suites themselves, run in-process."""
+"""The invariant suites themselves, run in-process: the session's one
+property report (tests/conftest.py), and negative controls that run a
+suite on a corrupted basis."""
 
 from types import SimpleNamespace
 
@@ -48,8 +50,8 @@ EXPECTED_CHECKS = [
 
 
 @pytest.mark.parametrize("suite_name", sorted(properties.ALL_SUITES))
-def test_suite_passes(suite_name):
-    checks = properties.ALL_SUITES[suite_name](seed=0)
+def test_suite_passes(property_report, suite_name):
+    checks = property_report.checks[suite_name]
     failures = [(name, detail) for name, ok, detail in checks if not ok]
     assert not failures, failures
 
@@ -65,7 +67,7 @@ def test_corrupted_basis_fails_orthonormality(monkeypatch):
     assert pod_checks["basis orthonormality"] is False
 
 
-def test_report_counts_per_suite():
-    report = properties.run_all(seed=0)
+def test_report_counts_per_suite(property_report):
+    report = property_report.checks
     assert list(report) == list(properties.ALL_SUITES)
     assert [(suite, name) for suite, checks in report.items() for name, _, _ in checks] == EXPECTED_CHECKS

@@ -8,7 +8,6 @@ from sdeim.errors import AssumptionError, DimensionError
 from sdeim.pod import BasisMatrix
 from sdeim.properties import _random_orthonormal
 from sdeim.sensing import (
-    NoiseSpec,
     ObservationSeries,
     SensorSelection,
     add_noise,
@@ -59,6 +58,15 @@ class TestQdeimPlace:
         basis = BasisMatrix(np.eye(3))
         with pytest.raises(DimensionError):
             qdeim_place(basis, 4)
+
+    def test_n_larger_than_n_modes_rejected(self):
+        # n pivoting steps need n modes: past them every trailing norm is
+        # zero, and the extra sensors would come out in swap order
+        phi = np.array([[0.1], [0.2], [0.3], [0.9], [0.1]])
+        basis = BasisMatrix(phi / np.linalg.norm(phi))
+        assert qdeim_place(basis, 1).indices.tolist() == [3]
+        with pytest.raises(DimensionError, match="n=3 sensors exceed the basis's n_modes=1"):
+            qdeim_place(basis, 3)
 
     @pytest.mark.parametrize("n", [True, 2.0, 0], ids=["bool", "float", "zero"])
     def test_n_not_a_count_rejected(self, n):
@@ -140,26 +148,31 @@ class TestAddNoise:
 
     def test_zero_std_is_identity(self):
         series = self._series()
-        noisy = add_noise(series, NoiseSpec(0.0, seed=1))
+        noisy = add_noise(series, 0.0, seed=1)
         assert np.array_equal(noisy.samples, series.samples)
 
     def test_same_seed_bit_identical(self):
         series = self._series()
-        a = add_noise(series, NoiseSpec(0.1, seed=42))
-        b = add_noise(series, NoiseSpec(0.1, seed=42))
+        a = add_noise(series, 0.1, seed=42)
+        b = add_noise(series, 0.1, seed=42)
         assert np.array_equal(a.samples, b.samples)
 
     def test_different_seed_differs(self):
         series = self._series()
-        a = add_noise(series, NoiseSpec(0.1, seed=1))
-        b = add_noise(series, NoiseSpec(0.1, seed=2))
+        a = add_noise(series, 0.1, seed=1)
+        b = add_noise(series, 0.1, seed=2)
         assert not np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("std_dev", [-0.1, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_std_dev_not_finite_and_nonnegative_rejected(self, std_dev):
+        with pytest.raises(ValueError, match="std_dev must be finite and nonnegative"):
+            add_noise(self._series(), std_dev, seed=0)
 
     def test_sample_statistics(self):
         # 1e5 draws: sample std within 5 sigma of the estimator spread
         t = np.arange(100000) * 0.5
         series = ObservationSeries(t, np.zeros((100000, 1)))
-        noisy = add_noise(series, NoiseSpec(0.1, seed=3))
+        noisy = add_noise(series, 0.1, seed=3)
         draws = noisy.samples.ravel()
         assert 0.098 <= draws.std() <= 0.102
         assert -0.002 <= draws.mean() <= 0.002
